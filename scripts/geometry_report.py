@@ -31,7 +31,8 @@ def main():
             rank = geometry.bases[(ci, bs)].rank if (ci, bs) in geometry.bases else 0
             cells.append(f"{np.rad2deg(st.aod[bs]):6.1f} {st.distance[bs]:5.0f} "
                          f"{lab:9s} {rank:2d}")
-        print(f"{spec.id:10s} {st.assignment:9s} " + " | ".join(cells))
+        area = "edge" if st.home_bs is None else f"center_{st.home_bs}"
+        print(f"{spec.id:10s} {area:9s} " + " | ".join(cells))
 
     print("\nservice dimensions:")
     for cid in plan.edge_ids():

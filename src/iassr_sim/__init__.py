@@ -9,7 +9,7 @@ from .channel import (EigenBasis, analytic_rank, correlation_matrix,
 from .prebeam import Prebeamformer, center_prebeam, dft_columns, edge_prebeam
 from .ia import (DofAllocation, IaSolution, dof_search, effective_edge_channel,
                  ia_decoders, ia_precoders)
-from .precode import ZfPrecoder, compose, equivalent_noise_cov, zf_inner
+from .precode import ZfPrecoder, zf_inner
 from .power import (AllocationProblem, CenterLink, EdgeLink, PowerAllocation,
                     allocate, capacity_center, capacity_edge, waterfill)
 from .training import (TrainingPlan, design_training, estimate_noise_cov,

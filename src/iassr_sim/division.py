@@ -71,8 +71,8 @@ def divide_clusters(candidates, criterion="dof"):
       dof criterion:      "edge_streams", "edge_alpha", "center_dims" (per
                           BS), "center_alphas" (per BS)
       capacity criterion: "edge_capacity", "center_capacities" (per BS)
-    Returns {cluster_id: "edge" | "center_<i>"}; center ties go to the
-    lowest BS index.
+    Returns {cluster_id: home BS index, or None for the edge set}; center
+    ties go to the lowest BS index.
     """
     out = {}
     for cid, cand in candidates.items():
@@ -85,8 +85,5 @@ def divide_clusters(candidates, criterion="dof"):
         else:
             raise ValueError(f"unknown criterion {criterion!r}")
         best_center = int(np.argmax(center_scores))
-        if edge_score > center_scores[best_center]:
-            out[cid] = "edge"
-        else:
-            out[cid] = f"center_{best_center}"
+        out[cid] = None if edge_score > center_scores[best_center] else best_center
     return out

@@ -17,7 +17,6 @@ comp_bound   interference-free capacity upper bound (not a transmission
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,6 +52,7 @@ __all__ = [
 LEAKAGE_LIMIT = 1e-8
 ZF_RESIDUAL_LIMIT = 1e-9
 BUDGET_LIMIT = 1e-9
+GOLDEN_EPS_REL = 1e-4  # golden-section bracket width, relative to the per-stream cap
 
 
 class TrialError(RuntimeError):
@@ -103,25 +103,21 @@ def build_geometry(config: ScenarioConfig, clusters) -> SystemGeometry:
 @dataclass
 class ServicePlan:
     scheme: str
-    assignment: dict                     # cid -> "edge" | "center_<i>"
+    assignment: dict                     # cid -> home BS, None for the edge area
     prebeams: dict                       # (cid, bs) -> Prebeamformer
     edge_streams: dict                   # cid -> (S1, S2, S3)
     center_rows: dict                    # cid -> served row indices
     exclude_all_dims: dict               # cid -> (M1, M2, M3) under full exclusion
 
     def edge_ids(self):
-        return [cid for cid, a in self.assignment.items() if a == "edge"]
+        return [cid for cid, a in self.assignment.items() if a is None]
 
     def center_ids(self, bs=None):
-        out = []
-        for cid, a in self.assignment.items():
-            if a.startswith("center"):
-                if bs is None or int(a.split("_")[1]) == bs:
-                    out.append(cid)
-        return out
+        return [cid for cid, a in self.assignment.items()
+                if a is not None and (bs is None or a == bs)]
 
     def home_bs(self, cid) -> int:
-        return int(self.assignment[cid].split("_")[1])
+        return self.assignment[cid]
 
     def center_dim(self, cid) -> int:
         return self.prebeams[(cid, self.home_bs(cid))].rank
@@ -142,7 +138,7 @@ def _served_rows(k_users, nr, n_streams):
 
 
 def geometric_assignment(geometry: SystemGeometry):
-    return {st.spec.id: st.assignment for st in geometry.states}
+    return {st.spec.id: st.home_bs for st in geometry.states}
 
 
 def _exclude_all_dims(geometry: SystemGeometry):
@@ -167,22 +163,22 @@ def build_plan(geometry: SystemGeometry, scheme: str, assignment=None) -> Servic
         if scheme in ("iassr", "equal_power"):
             assignment = geometric_assignment(geometry)
         elif scheme in ("de", "pure_jsdm"):
-            assignment = {st.spec.id: f"center_{int(np.argmin(st.distance))}"
+            assignment = {st.spec.id: int(np.argmin(st.distance))
                           for st in geometry.states}
         elif scheme == "pure_ia":
-            assignment = {c.id: "edge" for c in geometry.clusters}
+            assignment = {c.id: None for c in geometry.clusters}
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
     assignment = dict(assignment)
 
     exclude_all = _exclude_all_dims(geometry)
     prebeams, edge_streams, center_rows = {}, {}, {}
-    edge_idx = [geometry.idx(cid) for cid, a in assignment.items() if a == "edge"]
+    edge_idx = [geometry.idx(cid) for cid, a in assignment.items() if a is None]
 
     for ci, spec in enumerate(geometry.clusters):
         cid = spec.id
-        assign = assignment[cid]
-        if assign == "edge":
+        home = assignment[cid]
+        if home is None:
             if spec.num_users != 3:
                 raise ValueError("edge clusters need one user per BS (3)")
             for bs in range(3):
@@ -192,17 +188,13 @@ def build_plan(geometry: SystemGeometry, scheme: str, assignment=None) -> Servic
             dims = tuple(prebeams[(cid, bs)].rank for bs in range(3))
             edge_streams[cid] = ia.dof_search(*dims, cfg.nr).streams
         else:
-            home = int(assign.split("_")[1])
             if scheme == "de":
                 excl = [geometry.index_sets[(cj, home)] for cj in range(n) if cj != ci]
-            elif scheme == "pure_jsdm":
-                same_cell = [geometry.idx(c2) for c2, a2 in assignment.items()
-                             if a2 == assign and geometry.idx(c2) != ci]
-                excl = [geometry.index_sets[(cj, home)] for cj in same_cell]
             else:
                 # soft space reuse: same-cell centers plus the whole edge area
+                # (pure_jsdm has no edge area)
                 same = [geometry.idx(c2) for c2, a2 in assignment.items()
-                        if a2 == assign and geometry.idx(c2) != ci]
+                        if a2 == home and geometry.idx(c2) != ci]
                 excl = [geometry.index_sets[(cj, home)] for cj in same + edge_idx]
             prebeams[(cid, home)] = prebeam.center_prebeam(
                 cfg.nt, geometry.index_sets[(ci, home)], excl, bs=home, cluster_id=cid)
@@ -214,7 +206,7 @@ def build_plan(geometry: SystemGeometry, scheme: str, assignment=None) -> Servic
                        exclude_all_dims=exclude_all)
 
 
-def _center_rule_dim(geometry, ci, bs, assignment, edge_ids):
+def _center_rule_dim(geometry, ci, bs, assignment):
     """Soft-reuse dimension of cluster ci if it were a center of cell bs,
     with every other cluster held at its current assignment."""
     own = set(geometry.index_sets[(ci, bs)])
@@ -225,7 +217,7 @@ def _center_rule_dim(geometry, ci, bs, assignment, edge_ids):
         if cj == ci:
             continue
         a = assignment[other.id]
-        if a == "edge" or a == f"center_{bs}":
+        if a is None or a == bs:
             own -= set(geometry.index_sets[(cj, bs)])
     return len(own)
 
@@ -246,20 +238,18 @@ def adaptive_assignment(geometry: SystemGeometry, coherence_t: int):
         alpha_edge = division.overhead_factor(
             "edge", m_edge, spec.num_users, cfg.nr, cfg.quant_bits_q,
             cfg.feedback_rate_f, coherence_t)
-        edge_ids = [c for c, a in assignment.items() if a == "edge"]
         center_dims, center_alphas = [], []
         for bs in range(3):
-            m_bs = _center_rule_dim(geometry, ci, bs, assignment, edge_ids)
+            m_bs = _center_rule_dim(geometry, ci, bs, assignment)
             center_dims.append(m_bs)
             others = [0, 0, 0]
             for other in geometry.clusters:
                 if other.id == cid:
                     continue
-                a = assignment[other.id]
-                if a.startswith("center"):
-                    b = int(a.split("_")[1])
+                b = assignment[other.id]
+                if b is not None:
                     others[b] = max(others[b], _center_rule_dim(
-                        geometry, geometry.idx(other.id), b, assignment, edge_ids))
+                        geometry, geometry.idx(other.id), b, assignment))
             others[bs] = max(others[bs], m_bs)
             center_alphas.append(division.overhead_factor(
                 "center", m_bs, spec.num_users, cfg.nr, cfg.quant_bits_q,
@@ -323,15 +313,15 @@ class TrialLinks:
     leakage: dict = field(default_factory=dict)
 
 
-def _solve_alignment(geometry, plan, cid, eff, streams, allow_fallback):
-    """Solve one edge cluster's alignment; the comparison schemes may fall
-    back to the best realizable allocation when the search optimum is not
-    constructible on this realization (the feasibility count is only an
+def _solve_alignment(geometry, plan, cid, eff, streams):
+    """Solve one edge cluster's alignment; the all-edge comparison scheme
+    falls back to the best realizable allocation when the search optimum is
+    not constructible on this realization (the feasibility count is only an
     upper bound)."""
     try:
         return ia.ia_precoders(eff, ia.DofAllocation(streams)), streams
     except (RuntimeError, ValueError, np.linalg.LinAlgError):
-        if not allow_fallback:
+        if plan.scheme != "pure_ia":
             raise
     dims = tuple(plan.prebeams[(cid, bs)].rank for bs in range(3))
     for cand in ia.ranked_allocations(*dims, geometry.config.nr):
@@ -348,19 +338,12 @@ def _solve_alignment(geometry, plan, cid, eff, streams, allow_fallback):
     raise TrialError(f"no realizable alignment for {cid}")
 
 
-def solve_links(geometry: SystemGeometry, plan: ServicePlan, channels,
-                allow_fallback=None) -> TrialLinks:
+def solve_links(geometry: SystemGeometry, plan: ServicePlan, channels) -> TrialLinks:
     """Alignment and inner precoding for one channel realization. The output
     is power-independent: link eigenvalues for the edge side, the equalized
     gain plus interference spectrum for the center side.
-
-    ``allow_fallback`` (default: only for the all-edge comparison scheme)
-    lets clusters whose searched allocation is unrealizable drop to the best
-    solvable one instead of aborting the trial.
     """
     cfg = geometry.config
-    if allow_fallback is None:
-        allow_fallback = plan.scheme == "pure_ia"
     links = TrialLinks()
     for cid in plan.edge_ids():
         ci = geometry.idx(cid)
@@ -369,8 +352,7 @@ def solve_links(geometry: SystemGeometry, plan: ServicePlan, channels,
                 if (ci, k, bs) in channels else
                 np.zeros((cfg.nr, plan.prebeams[(cid, bs)].rank))
                 for bs in range(3)] for k in range(3)]
-        sol, streams = _solve_alignment(geometry, plan, cid, eff, streams,
-                                        allow_fallback=allow_fallback)
+        sol, streams = _solve_alignment(geometry, plan, cid, eff, streams)
         if sol.leakage > LEAKAGE_LIMIT:
             raise TrialError(f"alignment leakage {sol.leakage:.2e} for {cid}")
         links.leakage[cid] = sol.leakage
@@ -458,8 +440,8 @@ def _total_streams(links: TrialLinks) -> int:
     return n
 
 
-def evaluate_rates(geometry, plan, links, total_power, policy, fixed_p_cent=None,
-                   golden_eps_rel=1e-4) -> RateReport:
+def evaluate_rates(geometry, plan, links, total_power, policy,
+                   fixed_p_cent=None) -> RateReport:
     """Cluster sum rates under one power policy.
 
     policy="golden": the two-level optimizer (degenerates to plain
@@ -473,7 +455,7 @@ def evaluate_rates(geometry, plan, links, total_power, policy, fixed_p_cent=None
     n_center = sum(l.n_streams for l in problem.center_links)
     if policy == "golden":
         upper = total_power / n_center if n_center else total_power
-        alloc = power.allocate(problem, total_power, eps=max(upper * golden_eps_rel, 1e-300))
+        alloc = power.allocate(problem, total_power, eps=max(upper * GOLDEN_EPS_REL, 1e-300))
     elif policy == "equal":
         n_all = max(_total_streams(links), 1)
         alloc = _fixed_center_eval(problem, total_power, n_center,
@@ -670,7 +652,6 @@ class ExperimentSpec:
     out_dir: Path = Path(".")
     snr_grid: tuple = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
     t_grid: tuple = (100, 150, 200, 250, 300, 400, 500, 700, 1000)
-    schemes: tuple = ("iassr", "de", "pure_ia", "pure_jsdm", "equal_power")
 
     def __post_init__(self):
         if self.trials < 1:
@@ -684,34 +665,6 @@ def _mean_stderr(values):
     mean = float(arr.mean())
     stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
     return mean, stderr
-
-
-_MATRIX_MAGIC = b"IASSRM1\n"
-
-
-def dump_matrix(path, matrix):
-    """Flat binary matrix dump for debugging: an 8-byte magic, two little-
-    endian uint32 dimensions, then row-major little-endian float64
-    (real, imag) pairs."""
-    m = np.ascontiguousarray(np.asarray(matrix, dtype=complex))
-    with open(path, "wb") as fh:
-        fh.write(_MATRIX_MAGIC)
-        fh.write(struct.pack("<II", m.shape[0], m.shape[1]))
-        inter = np.empty((m.shape[0], m.shape[1], 2))
-        inter[..., 0] = m.real
-        inter[..., 1] = m.imag
-        fh.write(inter.astype("<f8").tobytes())
-    return Path(path)
-
-
-def load_matrix(path):
-    """Inverse of dump_matrix."""
-    raw = Path(path).read_bytes()
-    if raw[:8] != _MATRIX_MAGIC:
-        raise ValueError("not a matrix dump")
-    rows, cols = struct.unpack("<II", raw[8:16])
-    data = np.frombuffer(raw[16:], dtype="<f8").reshape(rows, cols, 2)
-    return data[..., 0] + 1j * data[..., 1]
 
 
 def write_csv(path, rows):
@@ -728,13 +681,12 @@ def write_csv(path, rows):
 def _class_means(report: RateReport, classes, alphas=None):
     """Average cluster rate per geometric class (optionally weighted by the
     per-cluster data fraction). ``classes`` maps cluster id to its area
-    ("edge" or "center_<i>"), independent of how a scheme serves it."""
-    if isinstance(classes, ServicePlan):
-        classes = classes.assignment
+    (home BS, or None for the edge area), independent of how a scheme
+    serves it."""
     edge, center = [], []
     for cid, rate in report.per_cluster.items():
         r = rate * (alphas[cid] if alphas else 1.0)
-        (edge if classes[cid] == "edge" else center).append(r)
+        (edge if classes[cid] is None else center).append(r)
     out = {}
     out["edge"] = float(np.mean(edge)) if edge else 0.0
     out["center"] = float(np.mean(center)) if center else 0.0
@@ -957,18 +909,18 @@ def _fig7(spec: ExperimentSpec, coherence_t=250):
         clusters = _random_clusters(spec.config, rng)
         geometry = build_geometry(spec.config, clusters)
         channels = draw_channels(geometry, spec.base_seed, t)
+        dof_assignment = adaptive_assignment(geometry, coherence_t)
+        n_ref = max(sum(min(geometry.states[ci].spec.num_users * spec.config.nr, 6)
+                        for ci in range(len(clusters))), 1)
         for snr in spec.snr_grid:
             p_total = spec.config.power_for_snr(snr)
-            n_ref = max(sum(min(geometry.states[ci].spec.num_users * spec.config.nr, 6)
-                            for ci in range(len(clusters))), 1)
             assigns = {
-                "dof": adaptive_assignment(geometry, coherence_t),
+                "dof": dof_assignment,
                 "capacity": _capacity_assignment(geometry, channels, p_total / n_ref),
             }
             for crit, assignment in assigns.items():
                 try:
-                    plan = _plan_with_fallback(geometry, assignment, channels)
-                    links = solve_links(geometry, plan, channels)
+                    plan, links = _plan_with_fallback(geometry, assignment, channels)
                     rep = evaluate_rates(geometry, plan, links, p_total, "golden")
                 except (TrialError, RuntimeError, ValueError, np.linalg.LinAlgError):
                     continue
@@ -990,14 +942,14 @@ def _fig7(spec: ExperimentSpec, coherence_t=250):
 
 
 def _plan_with_fallback(geometry, assignment, channels):
-    """Build a plan, demoting edge clusters whose alignment cannot be
-    solved on this realization to their best center slot."""
+    """Build a plan and solve its links, demoting edge clusters whose
+    alignment cannot be solved on this realization to their best center
+    slot. Returns (plan, links)."""
     assignment = dict(assignment)
     for _ in range(4):
         plan = build_plan(geometry, "iassr", assignment)
         try:
-            solve_links(geometry, plan, channels)
-            return plan
+            return plan, solve_links(geometry, plan, channels)
         except (TrialError, RuntimeError, ValueError, np.linalg.LinAlgError):
             demoted = False
             for cid in plan.edge_ids():
@@ -1010,53 +962,57 @@ def _plan_with_fallback(geometry, assignment, channels):
                     ia.ia_precoders(eff, ia.DofAllocation(plan.edge_streams[cid]))
                 except (RuntimeError, ValueError):
                     dims = plan.exclude_all_dims[cid]
-                    assignment[cid] = f"center_{int(np.argmax(dims))}"
+                    assignment[cid] = int(np.argmax(dims))
                     demoted = True
                     break
             if not demoted:
                 raise
-    return build_plan(geometry, "iassr", assignment)
+    plan = build_plan(geometry, "iassr", assignment)
+    return plan, solve_links(geometry, plan, channels)
 
 
 def _fig8(spec: ExperimentSpec, snrs=(0.0, 20.0, 40.0), n_grid=40):
     geometry = build_geometry(spec.config, spec.clusters)
     plan = build_plan(geometry, "iassr")
     classes = geometric_assignment(geometry)
-    paths = []
-    for snr in snrs:
-        p_total = spec.config.power_for_snr(snr)
-        grid_acc = {g: {"center": [], "edge": [], "avg": [], "sum": [], "alpha": []}
-                    for g in range(n_grid)}
-        alg_alpha, alg_sum = [], []
-        for t in range(spec.trials):
-            channels = draw_channels(geometry, spec.base_seed, t)
-            links = solve_links(geometry, plan, channels)
-            problem = allocation_problem(plan, links, spec.config.noise_variance)
-            n_center = sum(l.n_streams for l in problem.center_links)
+    grid_acc = {(snr, g): {"center": [], "edge": [], "avg": [], "sum": [], "alpha": []}
+                for snr in snrs for g in range(n_grid)}
+    alg_alpha, alg_sum = {snr: [] for snr in snrs}, {snr: [] for snr in snrs}
+    for t in range(spec.trials):
+        channels = draw_channels(geometry, spec.base_seed, t)
+        links = solve_links(geometry, plan, channels)
+        problem = allocation_problem(plan, links, spec.config.noise_variance)
+        n_center = sum(l.n_streams for l in problem.center_links)
+        for snr in snrs:
+            p_total = spec.config.power_for_snr(snr)
             p_max = p_total / max(n_center, 1)
             for g in range(n_grid):
                 p_cent = p_max * 10.0 ** (-3.0 + 3.0 * g / (n_grid - 1))
                 rep = evaluate_rates(geometry, plan, links, p_total, "fixed",
                                      fixed_p_cent=p_cent)
                 means = _class_means(rep, classes)
-                grid_acc[g]["center"].append(means["center"])
-                grid_acc[g]["edge"].append(means["edge"])
-                grid_acc[g]["avg"].append(0.5 * (means["center"] + means["edge"]))
-                grid_acc[g]["sum"].append(rep.sum_capacity)
-                grid_acc[g]["alpha"].append(rep.split_factor)
+                acc = grid_acc[(snr, g)]
+                acc["center"].append(means["center"])
+                acc["edge"].append(means["edge"])
+                acc["avg"].append(0.5 * (means["center"] + means["edge"]))
+                acc["sum"].append(rep.sum_capacity)
+                acc["alpha"].append(rep.split_factor)
             rep = evaluate_rates(geometry, plan, links, p_total, "golden")
-            alg_alpha.append(rep.split_factor)
-            alg_sum.append(rep.sum_capacity)
+            alg_alpha[snr].append(rep.split_factor)
+            alg_sum[snr].append(rep.sum_capacity)
+    paths = []
+    for snr in snrs:
         rows = []
         for g in range(n_grid):
-            a = float(np.mean(grid_acc[g]["alpha"]))
+            acc = grid_acc[(snr, g)]
+            a = float(np.mean(acc["alpha"]))
             for met in ("center", "edge", "avg", "sum"):
-                m, se = _mean_stderr(grid_acc[g][met])
+                m, se = _mean_stderr(acc[met])
                 name = "sum_capacity" if met == "sum" else f"rate_{met}_per_cluster"
                 rows.append((f"{a:.6g}", "iassr", name, m, se, spec.trials))
-        m, se = _mean_stderr(alg_alpha)
+        m, se = _mean_stderr(alg_alpha[snr])
         rows.append(("optimum", "iassr", "alg1_split_factor", m, se, spec.trials))
-        m, se = _mean_stderr(alg_sum)
+        m, se = _mean_stderr(alg_sum[snr])
         rows.append(("optimum", "iassr", "alg1_sum_capacity", m, se, spec.trials))
         paths.append(write_csv(Path(spec.out_dir) / f"fig8_snr{int(snr)}.csv", rows))
     return paths

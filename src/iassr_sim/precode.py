@@ -1,6 +1,5 @@
 """Inner precoding for center clusters: zero-forcing over the effective
-channel, equivalent-noise covariance of the soft-reuse links, and the
-composition of the two precoding stages.
+channel.
 """
 
 from __future__ import annotations
@@ -9,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ZfPrecoder", "zf_inner", "equivalent_noise_cov", "compose"]
+__all__ = ["ZfPrecoder", "zf_inner"]
 
 
 @dataclass(frozen=True)
@@ -35,31 +34,3 @@ def zf_inner(hbar, cond_limit=1e12) -> ZfPrecoder:
     z = hbar.conj().T @ np.linalg.inv(gram)
     zeta = float(np.sqrt(s / np.trace(z @ z.conj().T).real))
     return ZfPrecoder(matrix=zeta * z, gain=zeta)
-
-
-def equivalent_noise_cov(cross_channels, p_cent, noise_variance=1.0):
-    """Covariance of noise plus leaked cross-cell center transmissions.
-
-    ``cross_channels`` holds one K_j*Nr x M' matrix per interfering link
-    (interfering inner precoders are taken orthonormal, so each link adds
-    p_cent * G G^H).
-    """
-    if p_cent < 0:
-        raise ValueError("p_cent must be nonnegative")
-    mats = [np.asarray(g, dtype=complex) for g in cross_channels]
-    if not mats:
-        raise ValueError("need the receiver dimension: pass at least a 0-column matrix")
-    n = mats[0].shape[0]
-    k = noise_variance * np.eye(n, dtype=complex)
-    for g in mats:
-        k = k + p_cent * (g @ g.conj().T)
-    return 0.5 * (k + k.conj().T)
-
-
-def compose(prebeam_matrix, inner):
-    """Two-stage precoder P = B V."""
-    b = np.asarray(prebeam_matrix)
-    v = inner.matrix if hasattr(inner, "matrix") else np.asarray(inner)
-    if b.shape[1] != v.shape[0]:
-        raise ValueError(f"stage dimensions disagree: {b.shape} vs {v.shape}")
-    return b @ v

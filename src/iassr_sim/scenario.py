@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import configparser
 import importlib.resources
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
 SECTOR_HALF_ANGLE = np.pi / 6.0
+_CENTER_DISTANCE_M = 350.0
 
 __all__ = [
     "ScenarioConfig",
@@ -71,15 +72,10 @@ class ScenarioConfig:
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_hz
 
-    @property
-    def total_power(self) -> float:
-        """Total transmit power; snr_db is defined as beta_center * P_total
-        with beta_center the free-space gain at the center-cluster distance."""
-        beta_center = (self.wavelength_m / (4.0 * np.pi * 350.0)) ** 2
-        return 10.0 ** (self.snr_db / 10.0) / beta_center
-
     def power_for_snr(self, snr_db: float) -> float:
-        beta_center = (self.wavelength_m / (4.0 * np.pi * 350.0)) ** 2
+        """Total transmit power; an SNR is defined as beta_center * P_total
+        with beta_center the free-space gain at the center-cluster distance."""
+        beta_center = (self.wavelength_m / (4.0 * np.pi * _CENTER_DISTANCE_M)) ** 2
         return 10.0 ** (snr_db / 10.0) / beta_center
 
 
@@ -109,17 +105,7 @@ class ClusterState:
     distance: np.ndarray     # meters, per BS
     beta: np.ndarray         # linear path gain, per BS
     visible: np.ndarray      # bool, inside the BS sector
-    assignment: str = field(default="")  # "edge" or "center_<i>"
-
-    @property
-    def is_edge(self) -> bool:
-        return self.assignment == "edge"
-
-    @property
-    def home_bs(self) -> int:
-        if self.is_edge:
-            raise ValueError("edge clusters have no single home BS")
-        return int(self.assignment.split("_")[1])
+    home_bs: int | None = None  # center area of this BS; None for the edge area
 
 
 def bs_positions(config: ScenarioConfig) -> np.ndarray:
@@ -183,18 +169,11 @@ def cluster_state(config: ScenarioConfig, cluster: ClusterSpec) -> ClusterState:
         dist[i] = np.hypot(*(np.asarray(cluster.position) - pos[i]))
         beta[i] = path_loss(cluster, pos[i], config.carrier_hz)
         vis[i] = in_sector(th)
-    state = ClusterState(spec=cluster, aod=aod, spread=spread, distance=dist,
-                         beta=beta, visible=vis)
-    state.assignment = _geometric_assignment(config, state)
-    return state
-
-
-def _geometric_assignment(config: ScenarioConfig, state: ClusterState) -> str:
-    """Edge area = roughly equidistant from all BSs; otherwise the cluster
-    belongs to the center area of its closest BS."""
-    if state.distance.min() > 0.75 * config.bs_ring_m:
-        return "edge"
-    return f"center_{int(np.argmin(state.distance))}"
+    # edge area = roughly equidistant from all BSs; otherwise the cluster
+    # belongs to the center area of its closest BS
+    home = None if dist.min() > 0.75 * config.bs_ring_m else int(np.argmin(dist))
+    return ClusterState(spec=cluster, aod=aod, spread=spread, distance=dist,
+                        beta=beta, visible=vis, home_bs=home)
 
 
 # Default scenario. The cluster azimuths below were chosen so the DFT-support
@@ -212,7 +191,6 @@ _DEFAULT_CENTERS = [
 ]
 _DEFAULT_EDGE_RADIUS_M = 47.0
 _DEFAULT_EDGE_TWIST_DEG = 5.0
-_CENTER_DISTANCE_M = 350.0
 
 
 def default_scenario() -> tuple[ScenarioConfig, list[ClusterSpec]]:
@@ -292,7 +270,3 @@ def dump_scenario(config: ScenarioConfig, clusters, path):
 def bundled_config_path():
     """Path of the packaged default.cfg."""
     return importlib.resources.files("iassr_sim").joinpath("default.cfg")
-
-
-def scenario_with(config: ScenarioConfig, **changes) -> ScenarioConfig:
-    return replace(config, **changes)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iassr_sim import harness as H
 from iassr_sim.cli import main as cli_main
@@ -45,12 +46,35 @@ class TestPlans:
         de_dims = sorted(de.center_dim(c) for c in iassr_plan.center_ids())
         assert np.median(ssr) == pytest.approx(2 * np.median(de_dims), abs=1.0)
 
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_service_ids_partition_clusters(self, seed):
+        config = ScenarioConfig()
+        clusters = H._random_clusters(config, np.random.default_rng(seed))
+        geometry = H.build_geometry(config, clusters)
+        closest = {s.spec.id: int(np.argmin(s.distance)) for s in geometry.states}
+        expected_home = {
+            "iassr": H.geometric_assignment(geometry),
+            "equal_power": H.geometric_assignment(geometry),
+            "de": closest,
+            "pure_jsdm": closest,
+            "pure_ia": dict.fromkeys(closest),
+        }
+        for scheme, homes in expected_home.items():
+            plan = H.build_plan(geometry, scheme)
+            parts = [plan.edge_ids()] + [plan.center_ids(bs) for bs in range(3)]
+            flat = [cid for part in parts for cid in part]
+            assert sorted(flat) == sorted(geometry.ids)
+            assert len(flat) == len(set(flat))
+            assert sorted(plan.edge_ids()) == sorted(c for c, h in homes.items() if h is None)
+            assert sorted(plan.center_ids(0)) == sorted(c for c, h in homes.items() if h == 0)
+
     def test_adaptive_assignment_keeps_centers_home(self, geometry):
         assign = H.adaptive_assignment(geometry, 550)
         for cid in ("c0a", "c0b"):
-            assert assign[cid] == "center_0"
+            assert assign[cid] == 0
         for cid in ("c2a", "c2b"):
-            assert assign[cid] == "center_2"
+            assert assign[cid] == 2
 
 
 class TestTrials:
@@ -62,7 +86,7 @@ class TestTrials:
                    for c in links.center.values())
 
     def test_same_seed_same_rates(self, geometry, iassr_plan):
-        p = geometry.config.total_power
+        p = geometry.config.power_for_snr(geometry.config.snr_db)
         reps = []
         for _ in range(2):
             channels = H.draw_channels(geometry, 123, 5)
@@ -77,17 +101,17 @@ class TestTrials:
         links = H.solve_links(geometry, iassr_plan, channels)
         for policy in ("golden", "equal"):
             rep = H.evaluate_rates(geometry, iassr_plan, links,
-                                   cfg.total_power, policy)
+                                   cfg.power_for_snr(cfg.snr_db), policy)
             assert rep.sum_capacity > 0
 
     def test_comp_bound_dominates_sum(self, geometry, iassr_plan):
         cfg = geometry.config
+        p = cfg.power_for_snr(cfg.snr_db)
         for t in range(3):
             channels = H.draw_channels(geometry, 11, t)
             links = H.solve_links(geometry, iassr_plan, channels)
-            rep = H.evaluate_rates(geometry, iassr_plan, links,
-                                   cfg.total_power, "golden")
-            bound = H.comp_bound_rates(geometry, channels, cfg.total_power)
+            rep = H.evaluate_rates(geometry, iassr_plan, links, p, "golden")
+            bound = H.comp_bound_rates(geometry, channels, p)
             assert bound.sum_capacity >= rep.sum_capacity
 
 
@@ -116,7 +140,7 @@ def test_disjoint_geometry_matches_de_at_equal_power():
     channels = H.draw_channels(geometry, 5, 0)
     li = H.solve_links(geometry, iassr, channels)
     ld = H.solve_links(geometry, de, channels)
-    p = config.total_power
+    p = config.power_for_snr(config.snr_db)
     ri = H.evaluate_rates(geometry, iassr, li, p, "equal")
     rd = H.evaluate_rates(geometry, de, ld, p, "equal")
     for cid in ri.per_cluster:
@@ -210,15 +234,3 @@ def test_plan_alphas_match_overhead_module(geometry, iassr_plan):
                                cfg.quant_bits_q, cfg.feedback_rate_f, 250,
                                train_len=tc)
     assert alphas["c0a"] == pytest.approx(expect_c)
-
-
-def test_matrix_dump_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    path = H.dump_matrix(tmp_path / "m.bin", m)
-    back = H.load_matrix(path)
-    assert np.array_equal(back, m)
-    with pytest.raises(ValueError):
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"nope")
-        H.load_matrix(bad)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from iassr_sim.precode import compose, equivalent_noise_cov, zf_inner
+from iassr_sim.harness import (build_geometry, build_plan, draw_channels,
+                               solve_links, _stacked)
+from iassr_sim.precode import zf_inner
+from iassr_sim.scenario import default_scenario
 
 
 class TestZfInner:
@@ -34,72 +36,9 @@ class TestZfInner:
             zf_inner(np.ones((3, 2)))
 
 
-class TestEquivalentNoiseCov:
-    def test_zero_power_is_identity(self):
-        g = np.random.default_rng(0).standard_normal((4, 3)) + 0j
-        k = equivalent_noise_cov([g], 0.0)
-        assert np.allclose(k, np.eye(4))
-
-    def test_zero_channels_identity(self):
-        k = equivalent_noise_cov([np.zeros((4, 3))], 5.0)
-        assert np.allclose(k, np.eye(4))
-
-    def test_linear_in_power(self):
-        rng = np.random.default_rng(1)
-        mats = [rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-                for _ in range(2)]
-        k1 = equivalent_noise_cov(mats, 1.0)
-        k2 = equivalent_noise_cov(mats, 2.0)
-        assert np.allclose(k2 - np.eye(4), 2.0 * (k1 - np.eye(4)))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 3), st.floats(0.0, 10.0))
-    def test_psd_with_noise_floor(self, n_links, p):
-        rng = np.random.default_rng(42)
-        mats = [rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-                for _ in range(n_links)]
-        mats = mats or [np.zeros((3, 1))]
-        k = equivalent_noise_cov(mats, p)
-        w = np.linalg.eigvalsh(k)
-        assert w.min() >= 1.0 - 1e-9
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            equivalent_noise_cov([np.zeros((2, 1))], -1.0)
-
-
-class TestCompose:
-    def test_identity_inner(self):
-        b = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 3)) + 0j)[0]
-        assert np.allclose(compose(b, np.eye(3)), b)
-
-    def test_orthonormal_inner_preserves_gram(self):
-        rng = np.random.default_rng(1)
-        b = np.linalg.qr(rng.standard_normal((8, 3)) + 0j)[0]
-        v = np.linalg.qr(rng.standard_normal((3, 2)) + 0j)[0][:, :2]
-        p = compose(b, v)
-        assert np.allclose(p.conj().T @ p, np.eye(2), atol=1e-12)
-
-    def test_zero_forcing_through_both_stages(self):
-        rng = np.random.default_rng(4)
-        b = np.linalg.qr(rng.standard_normal((16, 4)) + 0j)[0][:, :4]
-        h = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
-        hbar = h @ b
-        zf = zf_inner(hbar)
-        p = compose(b, zf)
-        assert np.linalg.norm(h @ p - zf.gain * np.eye(3)) <= 1e-9 * zf.gain
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimensions"):
-            compose(np.ones((8, 3)), np.ones((4, 2)))
-
-
 def test_center_link_receive_model():
     """End-to-end substitution: after both stages the center link reduces to
     gain * data plus the equivalent noise."""
-    from iassr_sim.harness import build_geometry, build_plan, draw_channels, _stacked
-    from iassr_sim.scenario import default_scenario
-
     config, clusters = default_scenario()
     geometry = build_geometry(config, clusters)
     plan = build_plan(geometry, "iassr")
@@ -113,5 +52,37 @@ def test_center_link_receive_model():
     zf = zf_inner(hbar)
     rng = np.random.default_rng(0)
     d = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
-    received = h[rows] @ compose(plan.prebeams[(cid, home)].matrix, zf) @ d
+    received = h[rows] @ (plan.prebeams[(cid, home)].matrix @ zf.matrix) @ d
     assert np.linalg.norm(received - zf.gain * d) <= 1e-9 * np.linalg.norm(zf.gain * d)
+
+
+def test_center_interference_spectrum():
+    """Each center link's interference spectrum is that of the leakage
+    covariance sum_j G_j G_j^H, where G_j is the link's channel from another
+    cell's BS through that cell's center prebeams."""
+    config, clusters = default_scenario()
+    geometry = build_geometry(config, clusters)
+    plan = build_plan(geometry, "iassr")
+    channels = draw_channels(geometry, 99, 0)
+    links = solve_links(geometry, plan, channels)
+    interfered = 0
+    for cid in plan.center_ids():
+        ci = geometry.idx(cid)
+        home = plan.home_bs(cid)
+        sol = links.center[cid]
+        rows = np.array(plan.center_rows[cid][:sol.n_streams])
+        sigma = np.zeros((rows.size, rows.size), dtype=complex)
+        for other in plan.center_ids():
+            bs = plan.home_bs(other)
+            if bs == home or not geometry.states[ci].visible[bs]:
+                continue
+            h = np.concatenate([channels[(ci, u, bs)]
+                                for u in range(clusters[ci].num_users)], axis=0)
+            g = (h @ plan.prebeams[(other, bs)].matrix)[rows]
+            sigma += g @ g.conj().T
+        expect = np.clip(np.linalg.eigvalsh(sigma), 0.0, None)[::-1]
+        scale = max(float(expect.max(initial=0.0)), 1e-300)
+        assert sol.interference_eigs.shape == expect.shape
+        assert np.allclose(sol.interference_eigs, expect, rtol=0.0, atol=1e-9 * scale)
+        interfered += bool(expect.any())
+    assert interfered > 0

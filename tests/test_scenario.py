@@ -98,7 +98,7 @@ class TestDefaultScenario:
         states = [cluster_state(config, c) for c in clusters]
         centers, edges = [], []
         for st_ in states:
-            if st_.is_edge:
+            if st_.home_bs is None:
                 for bs in range(3):
                     edges.append(analytic_rank(st_.aod[bs], st_.spread[bs],
                                                config.nt, config.spacing_ratio))
@@ -114,9 +114,9 @@ class TestDefaultScenario:
         for c in clusters:
             st_ = cluster_state(config, c)
             if c.id.startswith("e"):
-                assert st_.assignment == "edge"
+                assert st_.home_bs is None
             else:
-                assert st_.assignment == f"center_{c.id[1]}"
+                assert st_.home_bs == int(c.id[1])
 
 
 def test_config_round_trip(tmp_path):
