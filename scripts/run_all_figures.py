@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run every figure experiment on the bundled scenario and write the CSV
-tables under results/ (about two minutes on a laptop)."""
+tables under results/ (about 130 s on a 2-core x86_64 VM, fig7 about 18 s
+of it)."""
 
 import argparse
 import time

@@ -313,14 +313,49 @@ class TrialLinks:
     leakage: dict = field(default_factory=dict)
 
 
-def _solve_alignment(geometry, plan, cid, eff, streams):
+def _edge_channels(geometry, plan, channels, cid):
+    """The 3x3 effective channels of an edge cluster: ``[k][bs]`` is user
+    k's channel from BS bs through the plan's prebeam (zero where unseen)."""
+    ci, nr = geometry.idx(cid), geometry.config.nr
+    pre = [plan.prebeams[(cid, bs)] for bs in range(3)]
+    return [[channels[(ci, k, bs)] @ pre[bs].matrix if (ci, k, bs) in channels
+             else np.zeros((nr, pre[bs].rank))
+             for bs in range(3)] for k in range(3)]
+
+
+def _aligned(table, cid, eff, streams):
+    """``ia.ia_precoders`` for one edge cluster, solved at most once per
+    ``table``.
+
+    An edge cluster's prebeams exclude every other cluster whatever the
+    assignment, so within one channel realization its alignment depends only
+    on ``(cid, streams)``; ``table`` maps that key to the solution or to the
+    failure's type and arguments. A failure is raised afresh on every read:
+    keeping the exception object would keep its traceback and the frames it
+    references. ``table=None`` solves without storing.
+    """
+    if table is None:
+        return ia.ia_precoders(eff, ia.DofAllocation(streams))
+    key = (cid, tuple(streams))
+    if key not in table:
+        try:
+            table[key] = ia.ia_precoders(eff, ia.DofAllocation(key[1]))
+        except (RuntimeError, ValueError) as exc:  # LinAlgError is a ValueError
+            table[key] = (type(exc), exc.args)
+    entry = table[key]
+    if isinstance(entry, tuple):
+        raise entry[0](*entry[1])
+    return entry
+
+
+def _solve_alignment(geometry, plan, cid, eff, streams, table):
     """Solve one edge cluster's alignment; the all-edge comparison scheme
     falls back to the best realizable allocation when the search optimum is
     not constructible on this realization (the feasibility count is only an
     upper bound)."""
     try:
-        return ia.ia_precoders(eff, ia.DofAllocation(streams)), streams
-    except (RuntimeError, ValueError, np.linalg.LinAlgError):
+        return _aligned(table, cid, eff, streams), streams
+    except (RuntimeError, ValueError):
         if plan.scheme != "pure_ia":
             raise
     dims = tuple(plan.prebeams[(cid, bs)].rank for bs in range(3))
@@ -328,8 +363,8 @@ def _solve_alignment(geometry, plan, cid, eff, streams):
         if cand.streams == tuple(streams):
             continue
         try:
-            sol = ia.ia_precoders(eff, cand)
-        except (RuntimeError, ValueError, np.linalg.LinAlgError):
+            sol = _aligned(table, cid, eff, cand.streams)
+        except (RuntimeError, ValueError):
             continue
         # remember the realizable allocation so later trials skip the
         # expensive failed attempt
@@ -338,33 +373,34 @@ def _solve_alignment(geometry, plan, cid, eff, streams):
     raise TrialError(f"no realizable alignment for {cid}")
 
 
-def solve_links(geometry: SystemGeometry, plan: ServicePlan, channels) -> TrialLinks:
+def _edge_link_eigs(sol, eff, streams):
+    """(bs, eigenvalues) of each active BS's aligned direct link."""
+    per_bs = []
+    for bs in range(3):
+        if streams[bs] == 0:
+            continue
+        link = ia.effective_edge_channel(sol.decoders[bs], eff[bs][bs], sol.precoders[bs])
+        per_bs.append((bs, np.linalg.svd(link, compute_uv=False) ** 2))
+    return per_bs
+
+
+def solve_links(geometry: SystemGeometry, plan: ServicePlan, channels,
+                table=None) -> TrialLinks:
     """Alignment and inner precoding for one channel realization. The output
     is power-independent: link eigenvalues for the edge side, the equalized
-    gain plus interference spectrum for the center side.
+    gain plus interference spectrum for the center side. ``table`` is an
+    optional alignment table (see ``_aligned``) shared by every solve on
+    these channels.
     """
-    cfg = geometry.config
     links = TrialLinks()
     for cid in plan.edge_ids():
-        ci = geometry.idx(cid)
-        streams = plan.edge_streams[cid]
-        eff = [[channels[(ci, k, bs)] @ plan.prebeams[(cid, bs)].matrix
-                if (ci, k, bs) in channels else
-                np.zeros((cfg.nr, plan.prebeams[(cid, bs)].rank))
-                for bs in range(3)] for k in range(3)]
-        sol, streams = _solve_alignment(geometry, plan, cid, eff, streams)
+        eff = _edge_channels(geometry, plan, channels, cid)
+        sol, streams = _solve_alignment(geometry, plan, cid, eff,
+                                        plan.edge_streams[cid], table)
         if sol.leakage > LEAKAGE_LIMIT:
             raise TrialError(f"alignment leakage {sol.leakage:.2e} for {cid}")
         links.leakage[cid] = sol.leakage
-        per_bs = []
-        for bs in range(3):
-            if streams[bs] == 0:
-                continue
-            link = ia.effective_edge_channel(sol.decoders[bs], eff[bs][bs],
-                                             sol.precoders[bs])
-            eig = np.linalg.svd(link, compute_uv=False) ** 2
-            per_bs.append((bs, eig))
-        links.edge[cid] = per_bs
+        links.edge[cid] = _edge_link_eigs(sol, eff, streams)
 
     for cid in plan.center_ids():
         ci = geometry.idx(cid)
@@ -843,54 +879,54 @@ def _random_clusters(config, rng):
     return clusters
 
 
-def _capacity_assignment(geometry, channels, p_ref):
+def _capacity_links(geometry, channels, table):
+    """The power-free half of the genie division: per cluster, the
+    ``(bs, eigenvalues)`` of its full-exclusion aligned links (None if the
+    alignment fails) and, per BS, the ``(gain, n_rows)`` of zero-forcing on
+    the same beams (None where that option is unavailable)."""
+    cfg = geometry.config
+    plan = build_plan(geometry, "pure_ia")  # every cluster on full-exclusion beams
+    out = {}
+    for ci, spec_c in enumerate(geometry.clusters):
+        cid = spec_c.id
+        streams = plan.edge_streams[cid]
+        pre = [plan.prebeams[(cid, bs)] for bs in range(3)]
+        edge = []
+        if sum(streams) > 0:
+            eff = _edge_channels(geometry, plan, channels, cid)
+            try:
+                edge = _edge_link_eigs(_aligned(table, cid, eff, streams), eff, streams)
+            except (RuntimeError, ValueError):
+                edge = None
+        singles = []
+        for bs in range(3):
+            if pre[bs].rank == 0 or not geometry.states[ci].visible[bs]:
+                singles.append(None)
+                continue
+            rows = _served_rows(spec_c.num_users, cfg.nr,
+                                min(pre[bs].rank, spec_c.num_users * cfg.nr))
+            hbar = _stacked(geometry, channels, ci, bs) @ pre[bs].matrix
+            try:
+                singles.append((precode.zf_inner(hbar[np.array(rows)]).gain, len(rows)))
+            except np.linalg.LinAlgError:
+                singles.append(None)
+        out[cid] = (edge, singles)
+    return out
+
+
+def _capacity_assignment(cap_links, p_ref):
     """Genie division: per cluster compare the aligned-edge capacity with
     the best single-BS capacity on this realization, both at a reference
     per-stream power and full-exclusion beams."""
-    cfg = geometry.config
-    dims = _exclude_all_dims(geometry)
-    n = len(geometry.clusters)
     assignment = {}
-    for ci, spec_c in enumerate(geometry.clusters):
-        cid = spec_c.id
-        m = dims[cid]
-        streams = ia.dof_search(*m, cfg.nr).streams
-        pre = {}
-        for bs in range(3):
-            others = [geometry.index_sets[(cj, bs)] for cj in range(n) if cj != ci]
-            pre[bs] = prebeam.edge_prebeam(cfg.nt, geometry.index_sets[(ci, bs)],
-                                           others, bs=bs, cluster_id=cid)
+    for cid, (edge, singles) in cap_links.items():
         edge_cap = 0.0
-        if sum(streams) > 0:
-            eff = [[(channels[(ci, k, bs)] @ pre[bs].matrix)
-                    if (ci, k, bs) in channels else np.zeros((cfg.nr, pre[bs].rank))
-                    for bs in range(3)] for k in range(3)]
-            try:
-                sol = ia.ia_precoders(eff, ia.DofAllocation(streams))
-                for bs in range(3):
-                    if streams[bs] == 0:
-                        continue
-                    link = ia.effective_edge_channel(sol.decoders[bs], eff[bs][bs],
-                                                     sol.precoders[bs])
-                    eig = np.linalg.svd(link, compute_uv=False) ** 2
-                    edge_cap += power.capacity_edge(eig, np.full(eig.size, p_ref))
-            except (RuntimeError, ValueError):
-                edge_cap = 0.0
-        center_caps = []
-        for bs in range(3):
-            mbs = pre[bs].rank
-            if mbs == 0 or not geometry.states[ci].visible[bs]:
-                center_caps.append(0.0)
-                continue
-            rows = _served_rows(spec_c.num_users, cfg.nr, min(mbs, spec_c.num_users * cfg.nr))
-            hbar = _stacked(geometry, channels, ci, bs) @ pre[bs].matrix
-            try:
-                zf = precode.zf_inner(hbar[np.array(rows)])
-            except np.linalg.LinAlgError:
-                center_caps.append(0.0)
-                continue
-            center_caps.append(power.capacity_center(
-                np.ones(len(rows)), zf.gain, np.full(len(rows), p_ref)))
+        for _bs, eig in edge or ():
+            edge_cap += power.capacity_edge(eig, np.full(eig.size, p_ref))
+        center_caps = [0.0 if single is None else
+                       power.capacity_center(np.ones(single[1]), single[0],
+                                             np.full(single[1], p_ref))
+                       for single in singles]
         choice = division.divide_clusters({cid: {
             "edge_capacity": edge_cap,
             "center_capacities": center_caps,
@@ -900,7 +936,9 @@ def _capacity_assignment(geometry, channels, p_ref):
 
 
 def _fig7(spec: ExperimentSpec, coherence_t=250):
-    """DoF-based against capacity-based division on random clusters."""
+    """DoF-based against capacity-based division on random clusters. Each
+    trial aligns every (cluster, streams) pair at most once and solves each
+    distinct assignment once for all SNRs."""
     rows_acc = {(snr, crit, met): [] for snr in spec.snr_grid
                 for crit in ("dof", "capacity") for met in ("rate", "effective_rate")}
     for t in range(spec.trials):
@@ -909,22 +947,35 @@ def _fig7(spec: ExperimentSpec, coherence_t=250):
         clusters = _random_clusters(spec.config, rng)
         geometry = build_geometry(spec.config, clusters)
         channels = draw_channels(geometry, spec.base_seed, t)
+        table = {}
+        cap_links = _capacity_links(geometry, channels, table)
         dof_assignment = adaptive_assignment(geometry, coherence_t)
         n_ref = max(sum(min(geometry.states[ci].spec.num_users * spec.config.nr, 6)
                         for ci in range(len(clusters))), 1)
+        solved = {}  # assignment -> (plan, links, alphas), or None if unsolvable
         for snr in spec.snr_grid:
             p_total = spec.config.power_for_snr(snr)
             assigns = {
                 "dof": dof_assignment,
-                "capacity": _capacity_assignment(geometry, channels, p_total / n_ref),
+                "capacity": _capacity_assignment(cap_links, p_total / n_ref),
             }
             for crit, assignment in assigns.items():
+                key = frozenset(assignment.items())
+                if key not in solved:
+                    try:
+                        plan, links = _plan_with_fallback(geometry, assignment, channels,
+                                                          table)
+                    except (TrialError, RuntimeError, ValueError, np.linalg.LinAlgError):
+                        solved[key] = None
+                    else:
+                        solved[key] = (plan, links, plan_alphas(geometry, plan, coherence_t))
+                if solved[key] is None:
+                    continue
+                plan, links, alphas = solved[key]
                 try:
-                    plan, links = _plan_with_fallback(geometry, assignment, channels)
                     rep = evaluate_rates(geometry, plan, links, p_total, "golden")
                 except (TrialError, RuntimeError, ValueError, np.linalg.LinAlgError):
                     continue
-                alphas = plan_alphas(geometry, plan, coherence_t)
                 eff = sum(rep.per_cluster[cid] * alphas[cid] for cid in rep.per_cluster)
                 rows_acc[(snr, crit, "rate")].append(rep.sum_capacity)
                 rows_acc[(snr, crit, "effective_rate")].append(eff)
@@ -941,25 +992,22 @@ def _fig7(spec: ExperimentSpec, coherence_t=250):
     return [write_csv(Path(spec.out_dir) / "fig7.csv", rows)]
 
 
-def _plan_with_fallback(geometry, assignment, channels):
+def _plan_with_fallback(geometry, assignment, channels, table):
     """Build a plan and solve its links, demoting edge clusters whose
     alignment cannot be solved on this realization to their best center
-    slot. Returns (plan, links)."""
+    slot. ``table`` is the realization's alignment table, so clusters the
+    failed solve already tried are not aligned again. Returns (plan, links)."""
     assignment = dict(assignment)
     for _ in range(4):
         plan = build_plan(geometry, "iassr", assignment)
         try:
-            return plan, solve_links(geometry, plan, channels)
+            return plan, solve_links(geometry, plan, channels, table)
         except (TrialError, RuntimeError, ValueError, np.linalg.LinAlgError):
             demoted = False
             for cid in plan.edge_ids():
-                ci = geometry.idx(cid)
+                eff = _edge_channels(geometry, plan, channels, cid)
                 try:
-                    eff = [[(channels[(ci, k, bs)] @ plan.prebeams[(cid, bs)].matrix)
-                            if (ci, k, bs) in channels
-                            else np.zeros((geometry.config.nr, plan.prebeams[(cid, bs)].rank))
-                            for bs in range(3)] for k in range(3)]
-                    ia.ia_precoders(eff, ia.DofAllocation(plan.edge_streams[cid]))
+                    _aligned(table, cid, eff, plan.edge_streams[cid])
                 except (RuntimeError, ValueError):
                     dims = plan.exclude_all_dims[cid]
                     assignment[cid] = int(np.argmax(dims))
@@ -968,7 +1016,7 @@ def _plan_with_fallback(geometry, assignment, channels):
             if not demoted:
                 raise
     plan = build_plan(geometry, "iassr", assignment)
-    return plan, solve_links(geometry, plan, channels)
+    return plan, solve_links(geometry, plan, channels, table)
 
 
 def _fig8(spec: ExperimentSpec, snrs=(0.0, 20.0, 40.0), n_grid=40):

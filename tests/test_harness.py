@@ -1,3 +1,6 @@
+import gc
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,3 +237,108 @@ def test_plan_alphas_match_overhead_module(geometry, iassr_plan):
                                cfg.quant_bits_q, cfg.feedback_rate_f, 250,
                                train_len=tc)
     assert alphas["c0a"] == pytest.approx(expect_c)
+
+
+class TestAlignmentTable:
+    """One alignment table per channel realization: solving through it gives
+    the same links and the same failures as solving without it."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = []
+        solve = H.ia.ia_precoders
+
+        def counted(eff, allocation, *args, **kwargs):
+            key = tuple(np.asarray(m).tobytes() for row in eff for m in row)
+            calls.append((key, tuple(allocation.streams)))
+            return solve(eff, allocation, *args, **kwargs)
+
+        monkeypatch.setattr(H.ia, "ia_precoders", counted)
+        return calls
+
+    def test_fresh_and_filled_table_give_the_same_links(self, geometry, iassr_plan,
+                                                         monkeypatch):
+        channels = H.draw_channels(geometry, 41, 2)
+        plain = H.solve_links(geometry, iassr_plan, channels)
+        table = {}
+        fresh = H.solve_links(geometry, iassr_plan, channels, table)
+        assert sorted(table) == [(cid, iassr_plan.edge_streams[cid])
+                                 for cid in sorted(iassr_plan.edge_ids())]
+        calls = self._count_calls(monkeypatch)
+        filled = H.solve_links(geometry, iassr_plan, channels, table)
+        assert calls == []
+        for links in (fresh, filled):
+            assert links.leakage == plain.leakage
+            assert links.edge.keys() == plain.edge.keys()
+            for cid, per_bs in plain.edge.items():
+                assert [bs for bs, _ in links.edge[cid]] == [bs for bs, _ in per_bs]
+                for (_, got), (_, want) in zip(links.edge[cid], per_bs):
+                    np.testing.assert_array_equal(got, want)
+            assert links.center.keys() == plain.center.keys()
+            for cid, want in plain.center.items():
+                got = links.center[cid]
+                assert (got.gain, got.n_streams, got.zf_residual) == \
+                    (want.gain, want.n_streams, want.zf_residual)
+                np.testing.assert_array_equal(got.interference_eigs, want.interference_eigs)
+
+    @staticmethod
+    def _assert_no_exception_stored(table):
+        """A stored failure is its type and string arguments: nothing reachable
+        from the table is an exception, a traceback or a frame."""
+        seen, todo = set(), [table]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, type):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (BaseException, types.TracebackType, types.FrameType))
+            todo.extend(gc.get_referents(obj))
+        for entry in table.values():
+            if isinstance(entry, tuple):
+                assert all(isinstance(a, str) for a in entry[1])
+
+    def test_failed_alignment_raises_the_same_with_a_table(self, geometry):
+        channels = H.draw_channels(geometry, 41, 2)
+        plan = H.build_plan(geometry, "iassr")
+        plan.edge_streams["e1"] = (3, 3, 3)  # more streams than receive antennas
+        with pytest.raises(ValueError) as plain:
+            H.solve_links(geometry, plan, channels)
+        table = {}
+        raised = []
+        for _ in range(2):  # fresh table, then filled
+            with pytest.raises(ValueError) as info:
+                H.solve_links(geometry, plan, channels, table)
+            raised.append(info.value)
+        for exc in raised:
+            assert type(exc) is type(plain.value)
+            assert str(exc) == str(plain.value)
+        assert raised[0] is not raised[1]
+        assert isinstance(table[("e1", (3, 3, 3))], tuple)
+        self._assert_no_exception_stored(table)
+
+    def test_unconverged_alignment_raises_the_same_with_a_table(self):
+        # (1,1,1) on dims (2,1,1) with two receive antennas: properness holds
+        # but two BSs have no precoder freedom, so the iteration cannot align
+        rng = np.random.default_rng(3)
+        dims, nr = (2, 1, 1), 2
+        eff = [[rng.standard_normal((nr, dims[i])) + 1j * rng.standard_normal((nr, dims[i]))
+                for i in range(3)] for _ in range(3)]
+        with pytest.raises(RuntimeError) as plain:
+            H.ia.ia_precoders(eff, H.ia.DofAllocation((1, 1, 1)))
+        table = {}
+        for _ in range(2):
+            with pytest.raises(RuntimeError) as info:
+                H._aligned(table, "x", eff, (1, 1, 1))
+            assert type(info.value) is type(plain.value)
+            assert str(info.value) == str(plain.value)
+            assert info.value.__context__ is None
+        self._assert_no_exception_stored(table)
+
+    # at 700006 the DoF plan's first solve fails and the demotion loop runs
+    @pytest.mark.parametrize("seed", [700000, 700003, 700006, 7])
+    def test_fig7_aligns_each_cluster_once_per_trial(self, seed, tmp_path, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        config, clusters = default_scenario()
+        H.run(H.ExperimentSpec(figure="fig7", config=config, clusters=clusters,
+                               trials=1, base_seed=seed, out_dir=tmp_path))
+        assert len(calls) == len(set(calls)) <= 9
