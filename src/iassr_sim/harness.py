@@ -332,10 +332,8 @@ def _aligned(table, cid, eff, streams):
     on ``(cid, streams)``; ``table`` maps that key to the solution or to the
     failure's type and arguments. A failure is raised afresh on every read:
     keeping the exception object would keep its traceback and the frames it
-    references. ``table=None`` solves without storing.
+    references.
     """
-    if table is None:
-        return ia.ia_precoders(eff, ia.DofAllocation(streams))
     key = (cid, tuple(streams))
     if key not in table:
         try:
@@ -388,10 +386,11 @@ def solve_links(geometry: SystemGeometry, plan: ServicePlan, channels,
                 table=None) -> TrialLinks:
     """Alignment and inner precoding for one channel realization. The output
     is power-independent: link eigenvalues for the edge side, the equalized
-    gain plus interference spectrum for the center side. ``table`` is an
-    optional alignment table (see ``_aligned``) shared by every solve on
-    these channels.
+    gain plus interference spectrum for the center side. ``table`` is the
+    alignment table (see ``_aligned``) shared by every solve on these
+    channels; without one the solve keeps its own.
     """
+    table = {} if table is None else table
     links = TrialLinks()
     for cid in plan.edge_ids():
         eff = _edge_channels(geometry, plan, channels, cid)

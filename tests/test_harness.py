@@ -240,8 +240,9 @@ def test_plan_alphas_match_overhead_module(geometry, iassr_plan):
 
 
 class TestAlignmentTable:
-    """One alignment table per channel realization: solving through it gives
-    the same links and the same failures as solving without it."""
+    """One alignment table per channel realization: solving through a shared
+    table gives the same links and the same failures as a fresh solve and as
+    ``ia.ia_precoders`` itself."""
 
     @staticmethod
     def _count_calls(monkeypatch):
@@ -301,8 +302,9 @@ class TestAlignmentTable:
         channels = H.draw_channels(geometry, 41, 2)
         plan = H.build_plan(geometry, "iassr")
         plan.edge_streams["e1"] = (3, 3, 3)  # more streams than receive antennas
+        eff = H._edge_channels(geometry, plan, channels, "e1")
         with pytest.raises(ValueError) as plain:
-            H.solve_links(geometry, plan, channels)
+            H.ia.ia_precoders(eff, H.ia.DofAllocation((3, 3, 3)))
         table = {}
         raised = []
         for _ in range(2):  # fresh table, then filled
