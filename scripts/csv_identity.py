@@ -2,12 +2,16 @@
 """Check that two source trees write byte-identical figure CSVs.
 
     python scripts/csv_identity.py --parent ../parent --change .
+    python scripts/csv_identity.py --change . --write-manifest tests/csv_manifest.json
+    python scripts/csv_identity.py --manifest tests/csv_manifest.json --change .
 
 Each tree's ``src/`` runs a fixed list of figure jobs on the bundled
 scenario in its own subprocess, with the BLAS and OpenMP threads pinned to
 1. The script prints the sha256 of every CSV and exits 1 on any mismatch.
 A job that raises the same exception type and message in both trees counts
-as identical and is reported as such.
+as identical and is reported as such. ``--write-manifest`` records one
+tree's digests and exceptions in a JSON file; ``--manifest`` compares a
+tree against such a file instead of against a parent tree.
 """
 
 import argparse
@@ -85,7 +89,7 @@ def compare(parent, change):
     """Print one line per CSV or raising job; return the mismatch count."""
     bad = 0
     for name, _, _, _ in job_list():
-        p, c = parent[name], change[name]
+        p, c = (side.get(name, {"error": "not run"}) for side in (parent, change))
         if "error" in p or "error" in c:
             same = p.get("error") == c.get("error")
             print(f"{'same-raise' if same else 'MISMATCH':10s} {name}: "
@@ -102,26 +106,47 @@ def compare(parent, change):
     return bad
 
 
+def run_trees(trees):
+    """Run the job list on each tree at once; return each tree's jobs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [start(tree, Path(tmp) / str(i)) for i, tree in enumerate(trees)]
+        try:
+            return [collect(src, proc) for src, proc in runs]
+        finally:
+            for _, proc in runs:
+                proc.kill()
+                proc.wait()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", help="tree holding the reference src/")
+    parser.add_argument("--manifest", help="recorded digests to compare against")
     parser.add_argument("--change", help="tree holding the changed src/")
+    parser.add_argument("--write-manifest", metavar="PATH",
+                        help="record the --change tree's digests in PATH")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
         worker(args.worker)
         return 0
-    if not (args.parent and args.change):
-        parser.error("--parent and --change are required")
-    with tempfile.TemporaryDirectory() as tmp:
-        runs = [start(tree, Path(tmp) / side)
-                for side, tree in (("parent", args.parent), ("change", args.change))]
-        try:
-            parent, change = [collect(src, proc) for src, proc in runs]
-        finally:
-            for _, proc in runs:
-                proc.kill()
-                proc.wait()
+    if not args.change:
+        parser.error("--change is required")
+    if args.write_manifest:
+        if args.parent or args.manifest:
+            parser.error("--write-manifest takes only --change")
+        [change] = run_trees([args.change])
+        Path(args.write_manifest).write_text(
+            json.dumps({"jobs": change}, indent=1, sort_keys=True) + "\n")
+        print(f"{len(change)} jobs recorded in {args.write_manifest}")
+        return 0
+    if bool(args.parent) == bool(args.manifest):
+        parser.error("give exactly one of --parent and --manifest")
+    if args.manifest:
+        parent = json.loads(Path(args.manifest).read_text())["jobs"]
+        [change] = run_trees([args.change])
+    else:
+        parent, change = run_trees([args.parent, args.change])
     bad = compare(parent, change)
     print(f"{len(job_list())} jobs: {'identical' if not bad else f'{bad} mismatches'}")
     return 1 if bad else 0

@@ -42,6 +42,7 @@ __all__ = [
     "evaluate_rates",
     "allocation_problem",
     "de_baseline",
+    "comp_bound_spectra",
     "comp_bound_rates",
     "mse_trial",
     "run",
@@ -491,14 +492,14 @@ def evaluate_rates(geometry, plan, links, total_power, policy,
     if policy == "golden":
         upper = total_power / n_center if n_center else total_power
         alloc = power.allocate(problem, total_power, eps=max(upper * GOLDEN_EPS_REL, 1e-300))
-    elif policy == "equal":
-        n_all = max(_total_streams(links), 1)
-        alloc = _fixed_center_eval(problem, total_power, n_center,
-                                   total_power / n_all, equal_edge=True)
-    elif policy == "fixed":
-        if fixed_p_cent is None:
+    elif policy in ("equal", "fixed"):
+        if policy == "fixed" and fixed_p_cent is None:
             raise ValueError("fixed policy needs fixed_p_cent")
-        alloc = _fixed_center_eval(problem, total_power, n_center, fixed_p_cent)
+        p_cent = (total_power / max(_total_streams(links), 1) if policy == "equal"
+                  else fixed_p_cent)
+        p_cent = min(p_cent, total_power / n_center) if n_center else 0.0
+        alloc = power.evaluate_candidate(problem, total_power, n_center, p_cent,
+                                         flat_edge=policy == "equal")
     else:
         raise ValueError(f"unknown policy {policy!r}")
 
@@ -515,31 +516,6 @@ def evaluate_rates(geometry, plan, links, total_power, policy,
                       p_cent=alloc.p_cent, split_factor=alloc.split_factor)
 
 
-def _fixed_center_eval(problem, total_power, n_center, p_cent, equal_edge=False):
-    """Evaluate with a pinned center level; optionally give the edge streams
-    the same flat power instead of water-filling the remainder."""
-    p_cent = min(p_cent, total_power / n_center) if n_center else 0.0
-    if not equal_edge:
-        return power.evaluate_candidate(problem, total_power, n_center, p_cent)
-    edge_powers, edge_caps, total = {}, {}, 0.0
-    for link in problem.edge_links:
-        lam = np.asarray(link.eigenvalues, dtype=float)
-        p = np.full(lam.size, p_cent)
-        edge_powers[link.key] = p
-        c = power.capacity_edge(lam, p)
-        edge_caps[link.key] = c
-        total += c
-    center_caps = {}
-    for link in problem.center_links:
-        c = power._center_capacity_at(link, p_cent)
-        center_caps[link.key] = c
-        total += c
-    alloc = power.PowerAllocation(p_cent=p_cent, edge_powers=edge_powers,
-                                  total_budget=total_power, sum_capacity=total,
-                                  center_capacities=center_caps, edge_capacities=edge_caps)
-    return alloc
-
-
 def de_baseline(geometry: SystemGeometry, channels, total_power) -> RateReport:
     """Single-BS service with system-wide beam exclusion and a flat power
     split; no alignment, no soft reuse."""
@@ -548,16 +524,23 @@ def de_baseline(geometry: SystemGeometry, channels, total_power) -> RateReport:
     return evaluate_rates(geometry, plan, links, total_power, "equal")
 
 
-def comp_bound_rates(geometry: SystemGeometry, channels, total_power) -> RateReport:
-    """Interference-free upper bound: every cluster rides its full channel
-    from its strongest BS and all streams share one water-filling. This is a
-    bound for orientation, not a scheme from the reference system."""
+def comp_bound_spectra(geometry: SystemGeometry, channels):
+    """(cluster id, squared singular values of its full channel from its
+    strongest BS) for every cluster; the power-free part of
+    ``comp_bound_rates``."""
     per_key = []
     for ci, st in enumerate(geometry.states):
         bs = int(np.argmax(np.where(st.visible, st.beta, 0.0)))
         h = _stacked(geometry, channels, ci, bs)
-        eig = np.linalg.svd(h, compute_uv=False) ** 2
-        per_key.append((st.spec.id, eig))
+        per_key.append((st.spec.id, np.linalg.svd(h, compute_uv=False) ** 2))
+    return per_key
+
+
+def comp_bound_rates(per_key, total_power) -> RateReport:
+    """Interference-free upper bound: every cluster rides its full channel
+    from its strongest BS (``comp_bound_spectra``) and all streams share one
+    water-filling. This is a bound for orientation, not a scheme from the
+    reference system."""
     lam = np.concatenate([e for _, e in per_key])
     p, _ = power.waterfill(lam, total_power)
     per_cluster, pos = {}, 0
@@ -803,12 +786,13 @@ def _rate_sweep(spec: ExperimentSpec, metric_class: str):
             aborted += 1
             continue
         links["equal_power"] = links["iassr"]
+        bound_spectra = comp_bound_spectra(geometry, channels)
         for snr in spec.snr_grid:
             p_total = spec.config.power_for_snr(snr)
             for s, policy in (("iassr", "golden"), ("de", "equal"), ("equal_power", "equal")):
                 rep = evaluate_rates(geometry, plans[s], links[s], p_total, policy)
                 per_point[(snr, s)].append(_class_means(rep, classes))
-            rep = comp_bound_rates(geometry, channels, p_total)
+            rep = comp_bound_rates(bound_spectra, p_total)
             per_point[(snr, "comp_bound")].append(_class_means(rep, classes))
     rows = []
     if aborted:

@@ -4,7 +4,13 @@ single center power level and the edge streams.
 
 The center power couples into the center noise covariance, which is why an
 outer one-dimensional search is needed at all: for a fixed center level the
-edge side reduces to classical water-filling.
+edge side reduces to classical water-filling. Water-filling is solved in
+closed form: sort 1/lambda, and the water level with the k strongest
+streams active is (budget + their 1/lambda summed) / k. The search does
+the power-free work once per problem (the sorted edge spectrum and its
+running sum, the flattened center terms) and scores each candidate level
+as a plain float; only the chosen level is expanded into a full
+``PowerAllocation``.
 """
 
 from __future__ import annotations
@@ -96,37 +102,47 @@ def capacity_center(noise_eigenvalues, gain, powers):
     return float(np.sum(np.log2(1.0 + (gain ** 2) * p / k)))
 
 
-def waterfill(eigenvalues, budget, rel_tol=1e-10):
+def _sorted_inverse(lam):
+    """(order, 1/lambda in ascending order, its running sum)."""
+    if np.any(lam <= 0):
+        raise ValueError("eigenvalues must be positive")
+    inv = 1.0 / lam
+    order = np.argsort(inv, kind="stable")
+    inv_sorted = inv[order]
+    return order, inv_sorted, np.cumsum(inv_sorted)
+
+
+def _water_level(inv_sorted, cumsum, counts, budget):
+    """Closed-form water level over 1/lambda sorted ascending, with its
+    running sum and ``counts`` = 1, 2, ... (Palomar & Fonollosa, IEEE TSP
+    2005): with the k strongest streams active the level is (budget + sum
+    of their 1/lambda) / k, and the active set is the prefix on which that
+    level clears 1/lambda. Returns (level, k); budget must be positive."""
+    levels = (budget + cumsum) / counts
+    k = int(np.count_nonzero(levels > inv_sorted))
+    return levels[k - 1], k
+
+
+def waterfill(eigenvalues, budget):
     """KKT water-filling p_s = max(0, 1/mu - 1/lambda_s), budget met with
     equality. Returns (powers, mu)."""
     lam = np.asarray(eigenvalues, dtype=float)
-    if np.any(lam <= 0):
-        raise ValueError("eigenvalues must be positive")
+    order, inv_sorted, cumsum = _sorted_inverse(lam)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     if budget == 0 or lam.size == 0:
         return np.zeros_like(lam), np.inf
-    inv = 1.0 / lam
-    lo = inv.min()                  # water level at which allocation starts
-    hi = inv.max() + budget         # certainly overshoots
-    for _ in range(128):
-        mid = 0.5 * (lo + hi)
-        if np.sum(np.clip(mid - inv, 0.0, None)) > budget:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= rel_tol * max(hi, 1e-300):
-            break
-    level = 0.5 * (lo + hi)
-    p = np.clip(level - inv, 0.0, None)
-    active = p > 0
-    if active.any():
-        # close the bisection residue exactly on the active set and report
-        # the matching water level, so complementary slackness holds against
-        # the returned multiplier
-        level = level - (p.sum() - budget) / active.sum()
-        p = np.clip(level - inv, 0.0, None)
+    level, k = _water_level(inv_sorted, cumsum, np.arange(1, lam.size + 1), budget)
+    p = np.zeros_like(lam)
+    p[order[:k]] = level - inv_sorted[:k]
     return p, 1.0 / level
+
+
+def _edge_eigenvalues(problem: AllocationProblem):
+    """Every edge stream's eigenvalue, link after link."""
+    return (np.concatenate([np.asarray(l.eigenvalues, dtype=float)
+                            for l in problem.edge_links])
+            if problem.edge_links else np.zeros(0))
 
 
 def _center_capacity_at(link: CenterLink, p_cent: float) -> float:
@@ -134,13 +150,20 @@ def _center_capacity_at(link: CenterLink, p_cent: float) -> float:
     return capacity_center(k, link.gain, np.full(link.n_streams, p_cent))
 
 
-def evaluate_candidate(problem: AllocationProblem, total_power, n_center_streams, p_cent):
-    """Sum capacity and per-link details for one candidate center level."""
-    edge_budget = max(total_power - n_center_streams * p_cent, 0.0)
-    lam_all = (np.concatenate([np.asarray(l.eigenvalues, dtype=float)
-                               for l in problem.edge_links])
-               if problem.edge_links else np.zeros(0))
-    powers, _ = waterfill(lam_all, edge_budget) if lam_all.size else (np.zeros(0), np.inf)
+def evaluate_candidate(problem: AllocationProblem, total_power, n_center_streams, p_cent,
+                       flat_edge=False):
+    """Sum capacity and per-link details for one candidate center level.
+
+    The edge streams water-fill what the center streams leave of the
+    budget or, with ``flat_edge``, each take ``p_cent`` as well (the
+    equal-power policy)."""
+    lam_all = _edge_eigenvalues(problem)
+    if flat_edge:
+        powers = np.full(lam_all.size, p_cent)
+    elif lam_all.size:
+        powers, _ = waterfill(lam_all, max(total_power - n_center_streams * p_cent, 0.0))
+    else:
+        powers = np.zeros(0)
     edge_powers, edge_caps = {}, {}
     pos = 0
     total = 0.0
@@ -164,12 +187,58 @@ def evaluate_candidate(problem: AllocationProblem, total_power, n_center_streams
     return alloc
 
 
+def _sum_capacity_fn(problem: AllocationProblem, total_power, n_center):
+    """The sum capacity at a center level as a plain float function.
+
+    The power-free work is done here once: the edge spectrum sorted by
+    1/lambda with its running sum, the center gains, leakage eigenvalues
+    and noise flattened to one entry per stream, and where each stream
+    sits in a (link, stream) table. A call then costs a few array
+    operations. It adds the per-stream capacities link by link and then
+    the links in turn, as ``evaluate_candidate`` does, so the two agree
+    bit for bit on links of fewer than 8 streams (numpy sums longer arrays
+    pairwise).
+    """
+    lam = _edge_eigenvalues(problem)
+    order, inv_sorted, cumsum = _sorted_inverse(lam)
+    lam_sorted = lam[order]
+    counts = np.arange(1, lam.size + 1)
+    sizes = [np.asarray(l.eigenvalues).size for l in problem.edge_links]
+    gain2, sigma, noise = [], [], []
+    for link in problem.center_links:
+        eigs = np.asarray(link.interference_eigs, dtype=float)
+        n = np.broadcast_shapes(eigs.shape, (link.n_streams,))
+        gain2.append(np.full(n, link.gain ** 2))
+        sigma.append(np.broadcast_to(eigs, n))
+        noise.append(np.full(n, float(link.noise_variance)))
+        sizes.append(n[0])
+    gain2, sigma, noise = (np.concatenate(v) if v else np.zeros(0)
+                           for v in (gain2, sigma, noise))
+    # flat position of every stream in a zero-padded (link, stream) table,
+    # edge links first
+    shape = (len(sizes), max(sizes))
+    cells = np.concatenate([row * shape[1] + np.arange(n) for row, n in enumerate(sizes)])
+    edge_cells, center_cells = cells[:lam.size][order], cells[lam.size:]
+
+    def sum_capacity(p_cent):
+        table = np.zeros(shape)
+        budget = max(total_power - n_center * p_cent, 0.0)
+        if budget > 0 and lam.size:
+            level, k = _water_level(inv_sorted, cumsum, counts, budget)
+            table.flat[edge_cells[:k]] = np.log2(1.0 + lam_sorted[:k] * (level - inv_sorted[:k]))
+        table.flat[center_cells] = np.log2(1.0 + gain2 * p_cent / (noise + p_cent * sigma))
+        return float(np.cumsum(np.cumsum(table, axis=1)[:, -1])[-1])
+
+    return sum_capacity
+
+
 def allocate(problem: AllocationProblem, total_power, eps) -> PowerAllocation:
     """Golden-section search over the common center power level.
 
     Interior points sit at the 0.382/0.618 splits of the bracket; each
     candidate re-waterfills the edge streams on the remaining budget. The
-    best allocation visited is returned (a guard against shallow or
+    search scores candidates as plain floats and builds the full
+    allocation only for the best level visited (a guard against shallow or
     non-strict unimodality).
     """
     if eps <= 0:
@@ -182,21 +251,21 @@ def allocate(problem: AllocationProblem, total_power, eps) -> PowerAllocation:
     if n_center == 0:
         return evaluate_candidate(problem, total_power, 0, 0.0)
 
+    score = _sum_capacity_fn(problem, total_power, n_center)
     lo, hi = 0.0, total_power / n_center
-    best = evaluate_candidate(problem, total_power, n_center, 0.0)
+    best_p, best = 0.0, score(0.0)
     while hi - lo >= eps:
         m1 = lo + 0.382 * (hi - lo)
         m2 = lo + 0.618 * (hi - lo)
-        a1 = evaluate_candidate(problem, total_power, n_center, m1)
-        a2 = evaluate_candidate(problem, total_power, n_center, m2)
-        for cand in (a1, a2):
-            if cand.sum_capacity > best.sum_capacity:
-                best = cand
-        if a1.sum_capacity > a2.sum_capacity:
+        c1, c2 = score(m1), score(m2)
+        for p, c in ((m1, c1), (m2, c2)):
+            if c > best:
+                best_p, best = p, c
+        if c1 > c2:
             hi = m2
         else:
             lo = m1
-    mid = evaluate_candidate(problem, total_power, n_center, 0.5 * (lo + hi))
-    if mid.sum_capacity > best.sum_capacity:
-        best = mid
-    return best
+    mid = 0.5 * (lo + hi)
+    if score(mid) > best:
+        best_p = mid
+    return evaluate_candidate(problem, total_power, n_center, best_p)

@@ -114,7 +114,7 @@ class TestTrials:
             channels = H.draw_channels(geometry, 11, t)
             links = H.solve_links(geometry, iassr_plan, channels)
             rep = H.evaluate_rates(geometry, iassr_plan, links, p, "golden")
-            bound = H.comp_bound_rates(geometry, channels, p)
+            bound = H.comp_bound_rates(H.comp_bound_spectra(geometry, channels), p)
             assert bound.sum_capacity >= rep.sum_capacity
 
 
