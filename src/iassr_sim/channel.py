@@ -8,6 +8,9 @@ broadside.
 
 from __future__ import annotations
 
+import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +22,7 @@ __all__ = [
     "one_ring_coefficients",
     "correlation_matrix",
     "eigen_basis",
+    "eigen_bases",
     "dft_index_set",
     "analytic_rank",
     "exponential_user_correlation",
@@ -66,65 +70,88 @@ class EigenBasis:
     def rank(self) -> int:
         return int(self.values.size)
 
-    def matrix(self) -> np.ndarray:
-        """Reconstruct the (truncated) correlation matrix."""
-        return (self.vectors * self.values) @ self.vectors.conj().T
+
+# Fewest levels of uniform panel splitting before the quadrature gives up.
+# Real pairs stop at levels 2 to 5; level 11 already has 2048 panels.
+_MIN_LEVELS = 12
+# Most panels integrated in one array expression, which bounds a level's
+# temporaries to a few (8, Nt, 15) complex arrays.
+_PANEL_BLOCK = 8
+# Rounding allowance of the one-lag screen, per unit of panel half-width.
+# The screen and the full evaluation sum the same 15 (or 7) weighted
+# unit-modulus terms, weights adding up to 2, in possibly different orders,
+# so their error estimates differ by less than about 2e-14 half-widths.
+_SCREEN_SLACK = 1e-13
+# The helper thread of ``eigen_bases`` runs only when it has a CPU of its own.
+_TWO_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1) > 1
+
+# The private helpers below do the work and call only each other; the public
+# names merely delegate to them. So the helper thread of ``eigen_bases``
+# never enters a public name, which a profiler may have wrapped with state
+# that is not thread-safe.
 
 
-def _panel_integrate(freqs, lo, hi):
-    """Integrate exp(-1j * f * sin(a)) over [lo, hi] for all f at once."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    s = np.sin(mid + half * _GK_NODES)
-    ph = np.exp(-1j * np.outer(freqs, s))
-    full = half * ph @ _GK_WEIGHTS
-    coarse = half * ph[:, _G7_PICK] @ _G7_WEIGHTS
-    return full, np.max(np.abs(full - coarse))
+def _level_sum(freqs, edges, bound):
+    """Sum over the panels between consecutive ``edges`` of the integral of
+    exp(-1j * f * sin(a)) for every f in ``freqs``, or None when some panel's
+    Kronrod-Gauss error (the worst f) exceeds ``bound``.
 
-
-def one_ring_coefficients(theta, delta, nt, spacing_ratio, tol=1e-10):
-    """First row of the one-ring correlation matrix.
-
-    Entry k is the normalized integral of exp(-2*pi*1j*k*spacing*sin(a))
-    over the azimuth interval [theta - delta, theta + delta], evaluated by
-    adaptive Gauss-Kronrod panels (all antenna lags integrated together, the
-    panel error taken as the worst lag).
+    The fastest lag alone is screened first, which rejects most failing
+    levels at a fraction of the cost; a level that passes the screen is
+    decided by the full test. Panels are evaluated in blocks and summed in
+    order, starting from 0.
     """
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    s = np.sin(mid[:, None] + half[:, None] * _GK_NODES)
+    fast = half[:, None] * np.exp(-1j * (freqs[-1] * s))
+    err = np.abs(fast @ _GK_WEIGHTS - fast[:, _G7_PICK] @ _G7_WEIGHTS)
+    if np.any(err > bound + _SCREEN_SLACK * half):
+        return None
+    total = 0
+    for k in range(0, half.size, _PANEL_BLOCK):
+        ph = half[k:k + _PANEL_BLOCK, None, None] * np.exp(
+            -1j * (freqs[:, None] * s[k:k + _PANEL_BLOCK, None, :]))
+        full = ph @ _GK_WEIGHTS
+        if not np.abs(full - ph[:, :, _G7_PICK] @ _G7_WEIGHTS).max() <= bound:
+            return None
+        for row in full:
+            total = total + row
+    return total
+
+
+def _one_ring_row(theta, delta, nt, spacing_ratio, tol):
     if delta <= 0:
         raise ValueError("degenerate spread")
     freqs = 2.0 * np.pi * spacing_ratio * np.arange(nt)
-    panels = [(theta - delta, theta + delta)]
-    total = np.zeros(nt, dtype=complex)
+    edges = np.array([theta - delta, theta + delta])
     # absolute tolerance: the normalized entries have modulus <= 1
     budget = tol * 2.0 * delta
-    for _ in range(64):
-        vals, errs = [], []
-        for lo, hi in panels:
-            v, e = _panel_integrate(freqs, lo, hi)
-            vals.append(v)
-            errs.append(e)
-        if max(errs) <= budget / max(len(panels), 1):
-            total = sum(vals)
-            break
+    # Give up at the level whose panels turn the fastest lag through at most
+    # a quarter radian (the lag's phase moves by at most 2 * delta * f), or
+    # at _MIN_LEVELS, whichever is later: a 15-point rule is then exact to
+    # rounding, so a tolerance still missed is out of reach.
+    levels = max(_MIN_LEVELS, math.ceil(math.log2(max(8.0 * freqs[-1] * delta, 1.0))) + 1)
+    for _ in range(levels):
+        total = _level_sum(freqs, edges, budget / (edges.size - 1))
+        if total is not None:
+            return total / (2.0 * delta)
         # split every panel; the integrand is smooth so this converges fast
-        panels = [p for lo, hi in panels for p in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
-    else:
-        raise RuntimeError("one-ring quadrature did not reach tolerance")
-    return total / (2.0 * delta)
+        split = np.empty(2 * edges.size - 1)
+        split[0::2] = edges
+        split[1::2] = 0.5 * (edges[:-1] + edges[1:])
+        edges = split
+    raise RuntimeError("one-ring quadrature did not reach tolerance")
 
 
-def correlation_matrix(theta, delta, nt, spacing_ratio, tol=1e-10):
-    """Nt x Nt one-ring correlation matrix (Hermitian, PSD, Toeplitz, unit
-    diagonal): entry (p, q) is the ring average of the steering-phase lag
-    p - q."""
-    row = one_ring_coefficients(theta, delta, nt, spacing_ratio, tol=tol)
+def _correlation_matrix(theta, delta, nt, spacing_ratio, tol):
+    row = _one_ring_row(theta, delta, nt, spacing_ratio, tol)
     r = toeplitz(row, row.conj())
     return 0.5 * (r + r.conj().T)
 
 
-def eigen_basis(r_matrix, eigen_threshold):
-    """Eigenpairs of a correlation matrix above ``eigen_threshold`` relative
-    to the largest eigenvalue, descending."""
+def _eigen_basis(r_matrix, eigen_threshold):
     asym = np.max(np.abs(r_matrix - r_matrix.conj().T))
     if asym > 1e-10:
         raise ValueError(f"correlation matrix is not Hermitian (asymmetry {asym:.2e})")
@@ -133,6 +160,69 @@ def eigen_basis(r_matrix, eigen_threshold):
     v = v[:, ::-1]
     keep = w >= eigen_threshold * w[0]
     return EigenBasis(vectors=v[:, keep], values=w[keep])
+
+
+def one_ring_coefficients(theta, delta, nt, spacing_ratio, tol=1e-10):
+    """First row of the one-ring correlation matrix.
+
+    Entry k is the normalized integral of exp(-2*pi*1j*k*spacing*sin(a))
+    over the azimuth interval [theta - delta, theta + delta], evaluated by
+    15-point Gauss-Kronrod panels: the interval is halved uniformly until
+    every panel's error estimate (the worst lag) is within its share of
+    the tolerance.
+    """
+    return _one_ring_row(theta, delta, nt, spacing_ratio, tol)
+
+
+def correlation_matrix(theta, delta, nt, spacing_ratio, tol=1e-10):
+    """Nt x Nt one-ring correlation matrix (Hermitian, PSD, Toeplitz, unit
+    diagonal): entry (p, q) is the ring average of the steering-phase lag
+    p - q."""
+    return _correlation_matrix(theta, delta, nt, spacing_ratio, tol)
+
+
+def eigen_basis(r_matrix, eigen_threshold):
+    """Eigenpairs of a correlation matrix above ``eigen_threshold`` relative
+    to the largest eigenvalue, descending."""
+    return _eigen_basis(r_matrix, eigen_threshold)
+
+
+def eigen_bases(angles, nt, spacing_ratio, eigen_threshold):
+    """``eigen_basis(correlation_matrix(theta, delta, ...))`` for every
+    (theta, delta) in ``angles``, in order.
+
+    With two CPUs the calling thread takes the even positions and a helper
+    thread the odd ones; the two overlap because LAPACK and numpy's array
+    loops release the GIL. Each matrix still gets its own quadrature and one
+    LAPACK call, so the split changes no bit of the result. A failing pair
+    raises its own exception, the first in order, as a serial loop would.
+    """
+    out = [None] * len(angles)
+    failed = {}
+
+    def drain(picks):
+        for i in picks:
+            theta, delta = angles[i]
+            try:
+                out[i] = _eigen_basis(
+                    _correlation_matrix(theta, delta, nt, spacing_ratio, 1e-10),
+                    eigen_threshold)
+            except Exception as exc:  # re-raised by the calling thread below
+                failed[i] = exc
+                return
+
+    if _TWO_CPUS and len(angles) > 1:
+        helper = threading.Thread(target=drain, args=(range(1, len(angles), 2),))
+        helper.start()
+        try:
+            drain(range(0, len(angles), 2))
+        finally:
+            helper.join()
+    else:
+        drain(range(len(angles)))
+    if failed:
+        raise failed[min(failed)]
+    return out
 
 
 def dft_index_set(theta, delta, nt, spacing_ratio):
@@ -179,14 +269,14 @@ def sample_channel(basis, beta, phi, nr, rng):
     receive antenna's channel is the (truncated) correlation matrix and the
     channel rides the beams of the cluster's own angular support. ``rng`` is
     a seeded Generator (or an int seed); identical seeds reproduce the
-    matrix bit for bit.
+    matrix bit for bit. ``phi`` is the Nr x Nr user-side correlation, or
+    None for uncorrelated receive antennas.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     r = basis.rank
     w = (rng.standard_normal((r, nr)) + 1j * rng.standard_normal((r, nr))) / np.sqrt(2.0)
-    phi = np.asarray(phi, dtype=complex)
-    if phi.shape == (nr, nr) and not np.allclose(phi, np.eye(nr)):
-        w = w @ _matrix_sqrt(phi)
+    if phi is not None:
+        w = w @ _matrix_sqrt(np.asarray(phi, dtype=complex))
     h_h = np.sqrt(beta) * (basis.vectors * np.sqrt(basis.values)) @ w
     return h_h.conj().T

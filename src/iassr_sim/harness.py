@@ -81,7 +81,7 @@ def build_geometry(config: ScenarioConfig, clusters) -> SystemGeometry:
     """Evaluate every cluster at every BS: angles, path gains, DFT supports
     and eigenbases. This is the expensive, trial-independent step."""
     states = [cluster_state(config, c) for c in clusters]
-    index_sets, bases = {}, {}
+    index_sets, visible, angles = {}, [], []
     for ci, st in enumerate(states):
         for bs in range(config.num_bs):
             if not st.visible[bs]:
@@ -90,8 +90,10 @@ def build_geometry(config: ScenarioConfig, clusters) -> SystemGeometry:
             theta, delta = st.aod[bs], st.spread[bs]
             index_sets[(ci, bs)] = ch.dft_index_set(theta, delta, config.nt,
                                                     config.spacing_ratio)
-            r = ch.correlation_matrix(theta, delta, config.nt, config.spacing_ratio)
-            bases[(ci, bs)] = ch.eigen_basis(r, config.eigen_threshold)
+            visible.append((ci, bs))
+            angles.append((theta, delta))
+    bases = dict(zip(visible, ch.eigen_bases(angles, config.nt, config.spacing_ratio,
+                                             config.eigen_threshold)))
     return SystemGeometry(config=config, clusters=list(clusters), states=states,
                           index_sets=index_sets, bases=bases,
                           ids=[c.id for c in clusters])
@@ -280,8 +282,9 @@ def draw_channels(geometry: SystemGeometry, base_seed, trial):
     rerun with the same base seed regenerates every matrix bit for bit.
     """
     cfg = geometry.config
-    phi = (ch.exponential_user_correlation(cfg.user_corr_rho, cfg.nr)
-           if cfg.user_corr_rho else np.eye(cfg.nr))
+    phi = ch.exponential_user_correlation(cfg.user_corr_rho, cfg.nr)
+    if np.allclose(phi, np.eye(cfg.nr)):
+        phi = None  # uncorrelated receive antennas: skip the square root
     rng = np.random.default_rng(np.random.SeedSequence(int(base_seed) + int(trial)))
     out = {}
     for ci, st in enumerate(geometry.states):
@@ -495,9 +498,10 @@ def evaluate_rates(geometry, plan, links, total_power, policy,
     elif policy in ("equal", "fixed"):
         if policy == "fixed" and fixed_p_cent is None:
             raise ValueError("fixed policy needs fixed_p_cent")
-        p_cent = (total_power / max(_total_streams(links), 1) if policy == "equal"
-                  else fixed_p_cent)
-        p_cent = min(p_cent, total_power / n_center) if n_center else 0.0
+        if policy == "equal":
+            p_cent = total_power / max(_total_streams(links), 1)
+        else:
+            p_cent = min(fixed_p_cent, total_power / n_center) if n_center else 0.0
         alloc = power.evaluate_candidate(problem, total_power, n_center, p_cent,
                                          flat_edge=policy == "equal")
     else:

@@ -1,15 +1,58 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import toeplitz
 
-from iassr_sim.channel import (EigenBasis, analytic_rank, correlation_matrix,
-                               dft_index_set, eigen_basis,
-                               exponential_user_correlation, one_ring_coefficients,
-                               sample_channel)
+from iassr_sim import channel as ch, harness as H
+from iassr_sim.channel import (analytic_rank, correlation_matrix, dft_index_set,
+                               eigen_bases, eigen_basis, exponential_user_correlation,
+                               one_ring_coefficients, sample_channel)
 from iassr_sim.prebeam import dft_columns
+from iassr_sim.scenario import ScenarioConfig, cluster_state, default_scenario
 
 NT = 128
 SP = 0.5
+
+
+def reconstruct(basis):
+    """The truncated correlation matrix E diag(values) E^H of a basis."""
+    return (basis.vectors * basis.values) @ basis.vectors.conj().T
+
+
+def per_panel_row(theta, delta, nt, spacing_ratio, tol=1e-10):
+    """Reference one-ring row: one panel at a time, every level evaluated in
+    full, the panel vectors added with sum()."""
+    freqs = 2.0 * np.pi * spacing_ratio * np.arange(nt)
+    panels = [(theta - delta, theta + delta)]
+    budget = tol * 2.0 * delta
+    while True:
+        vals, errs = [], []
+        for lo, hi in panels:
+            half = 0.5 * (hi - lo)
+            mid = 0.5 * (hi + lo)
+            s = np.sin(mid + half * ch._GK_NODES)
+            ph = np.exp(-1j * np.outer(freqs, s))
+            full = half * ph @ ch._GK_WEIGHTS
+            coarse = half * ph[:, ch._G7_PICK] @ ch._G7_WEIGHTS
+            vals.append(full)
+            errs.append(np.max(np.abs(full - coarse)))
+        if max(errs) <= budget / len(panels):
+            return sum(vals) / (2.0 * delta)
+        panels = [p for lo, hi in panels
+                  for p in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
+
+
+def serial_basis(theta, delta, nt, spacing_ratio, eigen_threshold):
+    """One pair's eigenbasis built serially from ``per_panel_row``."""
+    row = per_panel_row(theta, delta, nt, spacing_ratio)
+    r = toeplitz(row, row.conj())
+    w, v = np.linalg.eigh(0.5 * (r + r.conj().T))
+    w, v = w[::-1], v[:, ::-1]
+    keep = w >= eigen_threshold * w[0]
+    return v[:, keep], w[keep]
 
 
 def test_unit_diagonal():
@@ -48,6 +91,140 @@ def test_quadrature_matches_reference():
         assert row[k] == pytest.approx((re + 1j * im) / (2 * delta), abs=1e-11)
 
 
+class TestQuadrature:
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-1.4, 1.4), st.floats(1e-4, 0.8), st.integers(1, 160),
+           st.sampled_from([1e-10, 1e-12, 1e-7]))
+    def test_screened_rows_match_the_per_panel_loop(self, theta, delta, nt, tol):
+        new = one_ring_coefficients(theta, delta, nt, SP, tol=tol)
+        old = per_panel_row(theta, delta, nt, SP, tol=tol)
+        assert new.tobytes() == old.tobytes()
+
+    @staticmethod
+    def count_panels(monkeypatch):
+        panels = []
+        level_sum = ch._level_sum
+
+        def counted(freqs, edges, bound):
+            panels.append(edges.size - 1)
+            return level_sum(freqs, edges, bound)
+
+        monkeypatch.setattr(ch, "_level_sum", counted)
+        return panels
+
+    def test_wide_fast_ring_splits_past_twelve_levels(self, monkeypatch):
+        # the fastest lag turns through about 5800 radians: 4096 panels
+        panels = self.count_panels(monkeypatch)
+        new = one_ring_coefficients(0.2, 0.9, 256, 4.0)
+        assert panels[-1] == 4096
+        assert new.tobytes() == per_panel_row(0.2, 0.9, 256, 4.0).tobytes()
+
+    def test_unreachable_tolerance_raises_at_the_level_cap(self, monkeypatch):
+        panels = self.count_panels(monkeypatch)
+        with pytest.raises(RuntimeError, match="did not reach tolerance"):
+            one_ring_coefficients(0.3, 0.2, NT, SP, tol=0.0)
+        assert panels == [2 ** k for k in range(12)]
+
+
+class TestEigenBases:
+    ANGLES = [(0.1, 0.07), (-0.4, 0.03), (0.9, 0.2), (0.0, 0.0125), (1.2, 0.05)]
+
+    def _threads(self, monkeypatch):
+        seen = set()
+        correlation = ch._correlation_matrix
+
+        def spy(*args):
+            seen.add(threading.get_ident())
+            return correlation(*args)
+
+        monkeypatch.setattr(ch, "_correlation_matrix", spy)
+        return seen
+
+    @staticmethod
+    def assert_serial(angles, bases):
+        assert len(bases) == len(angles)
+        for (theta, delta), b in zip(angles, bases):
+            vectors, values = serial_basis(theta, delta, NT, SP, 0.4)
+            assert b.vectors.tobytes() == vectors.tobytes()
+            assert b.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("two_cpus", [True, False])
+    def test_matches_the_serial_per_pair_loop(self, monkeypatch, two_cpus):
+        monkeypatch.setattr(ch, "_TWO_CPUS", two_cpus)
+        seen = self._threads(monkeypatch)
+        self.assert_serial(self.ANGLES, eigen_bases(self.ANGLES, NT, SP, 0.4))
+        assert len(seen) == (2 if two_cpus else 1)
+
+    def test_rapid_thread_switching_changes_no_bit(self, monkeypatch):
+        monkeypatch.setattr(ch, "_TWO_CPUS", True)
+        angles = self.ANGLES * 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            bases = eigen_bases(angles, NT, SP, 0.4)
+        finally:
+            sys.setswitchinterval(interval)
+        self.assert_serial(angles, bases)
+
+    def test_helper_thread_error_surfaces_unchanged(self, monkeypatch):
+        monkeypatch.setattr(ch, "_TWO_CPUS", True)
+        raised_in = []
+        correlation = ch._correlation_matrix
+
+        def spy(theta, delta, *args):
+            try:
+                return correlation(theta, delta, *args)
+            except ValueError:
+                raised_in.append(threading.current_thread())
+                raise
+
+        monkeypatch.setattr(ch, "_correlation_matrix", spy)
+        with pytest.raises(ValueError) as info:
+            eigen_bases([(0.1, 0.07), (0.2, 0.0), (0.3, 0.05)], NT, SP, 0.4)
+        assert type(info.value) is ValueError and info.value.args == ("degenerate spread",)
+        assert len(raised_in) == 1 and raised_in[0] is not threading.main_thread()
+
+    @pytest.mark.parametrize("two_cpus", [True, False])
+    def test_first_failing_pair_raises(self, monkeypatch, two_cpus):
+        monkeypatch.setattr(ch, "_TWO_CPUS", two_cpus)
+
+        def fail(theta, delta, *args):
+            raise RuntimeError(f"pair at {theta}")
+
+        monkeypatch.setattr(ch, "_correlation_matrix", fail)
+        with pytest.raises(RuntimeError, match="^pair at 0.1$"):
+            eigen_bases(self.ANGLES, NT, SP, 0.4)
+
+
+class TestBuildGeometry:
+    @staticmethod
+    def assert_serial_bases(config, clusters):
+        geometry = H.build_geometry(config, clusters)
+        expected = {}
+        for ci, cluster in enumerate(clusters):
+            state = cluster_state(config, cluster)
+            for bs in range(config.num_bs):
+                if state.visible[bs]:
+                    expected[(ci, bs)] = serial_basis(
+                        state.aod[bs], state.spread[bs], config.nt,
+                        config.spacing_ratio, config.eigen_threshold)
+        assert list(geometry.bases) == list(expected)
+        for key, (vectors, values) in expected.items():
+            assert geometry.bases[key].vectors.tobytes() == vectors.tobytes()
+            assert geometry.bases[key].values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("two_cpus", [True, False])
+    def test_default_scenario_matches_the_serial_loop(self, monkeypatch, two_cpus):
+        monkeypatch.setattr(ch, "_TWO_CPUS", two_cpus)
+        self.assert_serial_bases(*default_scenario())
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_random_fig7_geometries_match_the_serial_loop(self, seed):
+        config = ScenarioConfig()
+        self.assert_serial_bases(config, H._random_clusters(config, np.random.default_rng(seed)))
+
+
 class TestEigenBasis:
     def test_identity(self):
         b = eigen_basis(np.eye(4), 0.4)
@@ -71,7 +248,7 @@ class TestEigenBasis:
         g = b.vectors.conj().T @ b.vectors
         assert np.max(np.abs(g - np.eye(b.rank))) < 1e-10
         # discarded mass bounds the reconstruction error
-        resid = np.linalg.norm(r - b.matrix(), 2)
+        resid = np.linalg.norm(r - reconstruct(b), 2)
         assert resid <= 0.4 * b.values[0] + 1e-9
 
     def test_published_rank_at_300m(self):
@@ -159,7 +336,7 @@ class TestSampleChannel:
         r = correlation_matrix(0.1, 0.12, nt, SP)
         b = eigen_basis(r, 0.4)
         phi = exponential_user_correlation(0.45, nr)
-        target = np.kron(phi.T, b.matrix())
+        target = np.kron(phi.T, reconstruct(b))
         rng = np.random.default_rng(3)
         acc = np.zeros((nt * nr, nt * nr), dtype=complex)
         for _ in range(n_draws):

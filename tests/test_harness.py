@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import types
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iassr_sim import harness as H
+from iassr_sim import channel as ch, harness as H, power
 from iassr_sim.cli import main as cli_main
 from iassr_sim.scenario import (ClusterSpec, ScenarioConfig, bs_boresights,
                                 bs_positions, default_scenario)
@@ -116,6 +117,42 @@ class TestTrials:
             rep = H.evaluate_rates(geometry, iassr_plan, links, p, "golden")
             bound = H.comp_bound_rates(H.comp_bound_spectra(geometry, channels), p)
             assert bound.sum_capacity >= rep.sum_capacity
+
+
+def test_equal_policy_without_center_links_shares_the_budget(geometry):
+    plan = H.build_plan(geometry, "pure_ia")
+    links = H.solve_links(geometry, plan, H.draw_channels(geometry, 5, 0))
+    assert not links.center
+    p = geometry.config.power_for_snr(20.0)
+    per_stream = p / H._total_streams(links)
+    expected = sum(power.capacity_edge(eigs, np.full(np.size(eigs), per_stream))
+                   for cid in links.edge for _, eigs in links.edge[cid])
+    rep = H.evaluate_rates(geometry, plan, links, p, "equal")
+    assert rep.sum_capacity == pytest.approx(expected, rel=1e-12)
+    assert 0 < rep.sum_capacity <= H.evaluate_rates(geometry, plan, links, p,
+                                                    "golden").sum_capacity
+
+
+def test_identity_user_correlation_is_decided_once_per_draw(geometry, monkeypatch):
+    phis, roots = [], []
+    sample_channel, matrix_sqrt = ch.sample_channel, ch._matrix_sqrt
+
+    def spy(basis, beta, phi, nr, rng):
+        phis.append(phi)
+        return sample_channel(basis, beta, phi, nr, rng)
+
+    monkeypatch.setattr(ch, "sample_channel", spy)
+    monkeypatch.setattr(ch, "_matrix_sqrt", lambda m: roots.append(m) or matrix_sqrt(m))
+    assert geometry.config.user_corr_rho == 0.0
+    H.draw_channels(geometry, 5, 0)
+    assert phis and all(phi is None for phi in phis) and not roots
+    phis.clear()
+    correlated = dataclasses.replace(
+        geometry, config=dataclasses.replace(geometry.config, user_corr_rho=0.4))
+    channels = H.draw_channels(correlated, 5, 0)
+    expected = ch.exponential_user_correlation(0.4, geometry.config.nr)
+    assert len(phis) == len(roots) == len(channels)
+    assert all(np.array_equal(m, expected) for m in roots)
 
 
 def _toy_disjoint_scenario():
