@@ -40,6 +40,8 @@ def job_list():
         jobs.append((f"panel_s{seed}", "fig7", seed, 1))
     for seed in range(2700000, 2700036, 5):  # 2700000 meets the known crash
         jobs.append((f"fig10_s{seed}_t5", "fig10", seed, 5))
+    for seed in (2700000, 2700010):  # the training workload's first jobs
+        jobs.append((f"fig11_s{seed}_t10", "fig11", seed, 10))
     return jobs
 
 

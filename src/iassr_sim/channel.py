@@ -8,6 +8,7 @@ broadside.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
@@ -82,9 +83,44 @@ _PANEL_BLOCK = 8
 # unit-modulus terms, weights adding up to 2, in possibly different orders,
 # so their error estimates differ by less than about 2e-14 half-widths.
 _SCREEN_SLACK = 1e-13
-# The helper thread of ``eigen_bases`` runs only when it has a CPU of its own.
+# The helper thread of ``eigen_bases`` runs only when it has a CPU of its own
+# and the BLAS is single-threaded: a multi-threaded BLAS already spreads each
+# ``eigh`` over the CPUs, and two threads' calls then contend (measured on a
+# 2-CPU x86_64 VM, default scenario: ``build_geometry`` 75-85 ms serial,
+# 118-132 ms with the helper).
 _TWO_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1) > 1
+
+
+def _openblas_thread_getter():
+    """numpy's bundled OpenBLAS thread-count query, or None without one."""
+    try:
+        from numpy._core import _multiarray_umath
+        getter = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    getter.restype = ctypes.c_int
+    getter.argtypes = ()
+    return getter
+
+
+_OPENBLAS_THREADS = _openblas_thread_getter()
+
+
+def _blas_threads():
+    """Threads numpy's BLAS runs on, or None when that cannot be told.
+
+    Asks the bundled OpenBLAS when it can; otherwise reads the thread
+    variables OpenBLAS itself reads when it loads.
+    """
+    if _OPENBLAS_THREADS is not None:
+        return _OPENBLAS_THREADS()
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return None
+
 
 # The private helpers below do the work and call only each other; the public
 # names merely delegate to them. So the helper thread of ``eigen_bases``
@@ -191,10 +227,11 @@ def eigen_bases(angles, nt, spacing_ratio, eigen_threshold):
     """``eigen_basis(correlation_matrix(theta, delta, ...))`` for every
     (theta, delta) in ``angles``, in order.
 
-    With two CPUs the calling thread takes the even positions and a helper
-    thread the odd ones; the two overlap because LAPACK and numpy's array
-    loops release the GIL. Each matrix still gets its own quadrature and one
-    LAPACK call, so the split changes no bit of the result. A failing pair
+    With two CPUs and a single-threaded (or unknown) BLAS the calling thread
+    takes the even positions and a helper thread the odd ones; the two
+    overlap because LAPACK and numpy's array loops release the GIL. Each
+    matrix still gets its own quadrature and one LAPACK call, so the split
+    changes no bit of the result. A failing pair
     raises its own exception, the first in order, as a serial loop would.
     """
     out = [None] * len(angles)
@@ -211,7 +248,7 @@ def eigen_bases(angles, nt, spacing_ratio, eigen_threshold):
                 failed[i] = exc
                 return
 
-    if _TWO_CPUS and len(angles) > 1:
+    if _TWO_CPUS and len(angles) > 1 and _blas_threads() in (1, None):
         helper = threading.Thread(target=drain, args=(range(1, len(angles), 2),))
         helper.start()
         try:

@@ -594,13 +594,16 @@ def plan_alphas(geometry: SystemGeometry, plan: ServicePlan, coherence_t: int):
 # training experiment
 
 
-def mse_trial(geometry: SystemGeometry, plan: ServicePlan, channels, pilot_power,
-              base_seed, trial, p_cent=0.0):
-    """One end-to-end training pass; absolute per-entry MSEs by class.
+def mse_trial(geometry: SystemGeometry, plan: ServicePlan, channels, pilot_powers,
+              base_seed, trial):
+    """One end-to-end training pass per pilot power; absolute per-entry
+    MSEs by class, one ``(edge_mse, center_mse)`` pair per power.
 
     Pilots are scaled by sqrt(pilot_power); the LS estimates divide it out,
     so the estimation error is companion leakage plus noise shrunk by the
-    pilot power.
+    pilot power. Nothing but the scaling depends on the power, so the
+    training plan, the effective channels and the noise blocks are built
+    once for all powers.
     """
     cfg = geometry.config
     edge_dims = {cid: tuple(plan.prebeams[(cid, bs)].rank for bs in range(3))
@@ -608,56 +611,65 @@ def mse_trial(geometry: SystemGeometry, plan: ServicePlan, channels, pilot_power
     center_dims = {cid: (plan.home_bs(cid), plan.center_dim(cid))
                    for cid in plan.center_ids()}
     plan_t = training.design_training(edge_dims, center_dims)
-    amp = np.sqrt(pilot_power)
+    effective = {}
 
-    edge_err, center_err = [], []
-    k_hats = {}
+    def eff(ci, bs, cid):
+        """Cluster ci's stacked channel from BS bs through cid's prebeam."""
+        if (ci, bs, cid) not in effective:
+            effective[(ci, bs, cid)] = (_stacked(geometry, channels, ci, bs)
+                                        @ plan.prebeams[(cid, bs)].matrix)
+        return effective[(ci, bs, cid)]
+
+    def draw_noise(tag, ci, symbols):
+        rows = geometry.states[ci].spec.num_users * cfg.nr
+        rng = np.random.default_rng(
+            np.random.SeedSequence(trial_seed_tuple(base_seed, trial, tag, ci)))
+        shape = (rows, symbols)
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
     # edge phase: all BSs send the edge blocks simultaneously
+    edge_rx = []  # (cid, [(g, pilots)], noise, [(bs, true channel)])
     for cid in sorted(plan.edge_ids()):
         ci = geometry.idx(cid)
-        rows = geometry.states[ci].spec.num_users * cfg.nr
-        y = np.zeros((rows, plan_t.edge_len), dtype=complex)
-        for other in plan.edge_ids():
-            for bs in range(3):
-                if plan.prebeams[(other, bs)].rank == 0:
-                    continue
-                if not geometry.states[ci].visible[bs]:
-                    continue
-                g = _stacked(geometry, channels, ci, bs) @ plan.prebeams[(other, bs)].matrix
-                y += amp * g @ plan_t.edge_matrix(other, bs)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(trial_seed_tuple(base_seed, trial, 901, ci)))
-        noise = (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)) / np.sqrt(2)
-        y = y / amp + noise / amp
-        for bs in range(3):
-            if plan_t.edge_dims[cid][bs] == 0:
-                continue
-            est = training.ls_estimate_edge(y, plan_t, cid, bs)
-            true = _stacked(geometry, channels, ci, bs) @ plan.prebeams[(cid, bs)].matrix
-            edge_err.append(np.mean(np.abs(est - true) ** 2))
+        terms = [(eff(ci, bs, other), plan_t.edge_matrix(other, bs))
+                 for other in plan.edge_ids() for bs in range(3)
+                 if plan.prebeams[(other, bs)].rank and geometry.states[ci].visible[bs]]
+        targets = [(bs, eff(ci, bs, cid)) for bs in range(3) if plan_t.edge_dims[cid][bs]]
+        edge_rx.append((cid, terms, draw_noise(901, ci, plan_t.edge_len), targets))
     # center phase
+    center_rx = []  # (cid, [(g, pilots)], noise, true channel)
     for cid in sorted(plan.center_ids()):
         ci = geometry.idx(cid)
-        rows = geometry.states[ci].spec.num_users * cfg.nr
-        y = np.zeros((rows, plan_t.center_len), dtype=complex)
-        for other in plan.center_ids():
-            bs = plan.home_bs(other)
-            if not geometry.states[ci].visible[bs] or plan.center_dim(other) == 0:
-                continue
-            g = _stacked(geometry, channels, ci, bs) @ plan.prebeams[(other, bs)].matrix
-            y += amp * g @ plan_t.center_matrix(other)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(trial_seed_tuple(base_seed, trial, 902, ci)))
-        noise = (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)) / np.sqrt(2)
-        y = y / amp + noise / amp
-        est = training.ls_estimate_center(y, plan_t, cid)
-        true = _stacked(geometry, channels, ci, plan.home_bs(cid)) \
-            @ plan.prebeams[(cid, plan.home_bs(cid))].matrix
-        center_err.append(np.mean(np.abs(est - true) ** 2))
-        k_hats[cid] = training.estimate_noise_cov(y, plan_t, cid, p_cent)
-    return (float(np.mean(edge_err)) if edge_err else np.nan,
-            float(np.mean(center_err)) if center_err else np.nan,
-            k_hats)
+        terms = [(eff(ci, plan.home_bs(other), other), plan_t.center_matrix(other))
+                 for other in plan.center_ids()
+                 if geometry.states[ci].visible[plan.home_bs(other)]
+                 and plan.center_dim(other) != 0]
+        center_rx.append((cid, terms, draw_noise(902, ci, plan_t.center_len),
+                          eff(ci, plan.home_bs(cid), cid)))
+
+    out = []
+    for pilot_power in pilot_powers:
+        amp = np.sqrt(pilot_power)
+        edge_err, center_err = [], []
+        for cid, terms, w, targets in edge_rx:
+            y = _received(terms, w, amp)
+            for bs, true in targets:
+                est = training.ls_estimate_edge(y, plan_t, cid, bs)
+                edge_err.append(np.mean(np.abs(est - true) ** 2))
+        for cid, terms, w, true in center_rx:
+            est = training.ls_estimate_center(_received(terms, w, amp), plan_t, cid)
+            center_err.append(np.mean(np.abs(est - true) ** 2))
+        out.append((float(np.mean(edge_err)) if edge_err else np.nan,
+                    float(np.mean(center_err)) if center_err else np.nan))
+    return out
+
+
+def _received(terms, noise, amp):
+    """Received training block, normalized by the pilot amplitude."""
+    y = np.zeros(noise.shape, dtype=complex)
+    for g, pilots in terms:
+        y += amp * g @ pilots
+    return y / amp + noise / amp
 
 
 # ---------------------------------------------------------------------------
@@ -1128,13 +1140,12 @@ def _fig11(spec: ExperimentSpec):
     geometry = build_geometry(spec.config, spec.clusters)
     plan = build_plan(geometry, "iassr")
     boost = 10.0 ** (spec.config.pilot_boost_db / 10.0)
+    powers = [boost * spec.config.power_for_snr(snr) for snr in spec.snr_grid]
     acc = {(snr, cls): [] for snr in spec.snr_grid for cls in ("edge", "center")}
     for t in range(spec.trials):
         channels = draw_channels(geometry, spec.base_seed, t)
-        for snr in spec.snr_grid:
-            p_total = spec.config.power_for_snr(snr)
-            e_mse, c_mse, _ = mse_trial(geometry, plan, channels,
-                                        boost * p_total, spec.base_seed, t)
+        mses = mse_trial(geometry, plan, channels, powers, spec.base_seed, t)
+        for snr, (e_mse, c_mse) in zip(spec.snr_grid, mses):
             acc[(snr, "edge")].append(e_mse)
             acc[(snr, "center")].append(c_mse)
     rows = []

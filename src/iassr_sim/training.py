@@ -10,7 +10,7 @@ recycled to estimate the equivalent-noise covariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,11 +39,34 @@ class TrainingPlan:
     center_dims: cluster id -> (home bs, M)
     bs_max:      per-BS maximum of the center dims (block sizes of the
                  center DFT matrix)
+
+    The DFT pilot blocks are built once, with the plan, and handed out
+    read-only.
     """
 
     edge_dims: dict
     center_dims: dict
     bs_max: tuple[int, int, int]
+    _edge_blocks: dict = field(init=False, repr=False, compare=False)
+    _center_blocks: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        edge = {}
+        edge_len = self.edge_len
+        for cid, dims in self.edge_dims.items():
+            for bs in range(3):
+                offset = int(sum(dims[:bs]))
+                block = dft_rows(self.edge_len_for(cid), slice(offset, offset + dims[bs]))
+                pad = edge_len - block.shape[1]
+                if pad:
+                    block = np.pad(block, ((0, 0), (0, pad)))
+                edge[(cid, bs)] = _read_only(block)
+        center = tuple(
+            _read_only(dft_rows(self.center_len,
+                                slice(sum(self.bs_max[:bs]), sum(self.bs_max[:bs + 1]))))
+            for bs in range(3))
+        object.__setattr__(self, "_edge_blocks", edge)
+        object.__setattr__(self, "_center_blocks", center)
 
     @property
     def edge_len(self) -> int:
@@ -59,24 +82,22 @@ class TrainingPlan:
 
     def edge_matrix(self, cluster_id, bs) -> np.ndarray:
         """M^bs x edge_len training matrix of one (edge cluster, BS) pair."""
-        dims = self.edge_dims[cluster_id]
-        offset = int(sum(dims[:bs]))
-        block = dft_rows(self.edge_len_for(cluster_id), slice(offset, offset + dims[bs]))
-        pad = self.edge_len - block.shape[1]
-        if pad:
-            block = np.pad(block, ((0, 0), (0, pad)))
-        return block
+        return self._edge_blocks[(cluster_id, bs)]
 
     def center_block(self, bs) -> np.ndarray:
         """Per-BS block F_c^bs of the center DFT matrix."""
-        offset = int(sum(self.bs_max[:bs]))
-        return dft_rows(self.center_len, slice(offset, offset + self.bs_max[bs]))
+        return self._center_blocks[bs]
 
     def center_matrix(self, cluster_id) -> np.ndarray:
         """M x center_len training matrix of one center cluster (the first
         M rows of its BS block)."""
         bs, m = self.center_dims[cluster_id]
-        return self.center_block(bs)[:m]
+        return self._center_blocks[bs][:m]
+
+
+def _read_only(block):
+    block.flags.writeable = False
+    return block
 
 
 def design_training(edge_dims, center_dims) -> TrainingPlan:

@@ -354,12 +354,13 @@ def test_criterion_9_training():
                     for bs in range(3))
 
     boost = 10.0 ** (cfg.pilot_boost_db / 10.0)
-    acc = {(snr, cls): [] for snr in (20.0, 30.0, 40.0) for cls in ("edge", "center")}
+    snrs = (20.0, 30.0, 40.0)
+    acc = {(snr, cls): [] for snr in snrs for cls in ("edge", "center")}
     for t in range(60):
         channels = H.draw_channels(geometry, cfg.seed, t)
-        for snr in (20.0, 30.0, 40.0):
-            e, c, _ = H.mse_trial(geometry, plan, channels,
-                                  boost * cfg.power_for_snr(snr), cfg.seed, t)
+        mses = H.mse_trial(geometry, plan, channels,
+                           [boost * cfg.power_for_snr(snr) for snr in snrs], cfg.seed, t)
+        for snr, (e, c) in zip(snrs, mses):
             acc[(snr, "edge")].append(e)
             acc[(snr, "center")].append(c)
     m = {k: float(np.mean(v)) for k, v in acc.items()}

@@ -1,5 +1,8 @@
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +129,14 @@ class TestQuadrature:
         assert panels == [2 ** k for k in range(12)]
 
 
+@pytest.fixture
+def serial_blas(monkeypatch):
+    """Report a single-threaded BLAS, so the helper thread of ``eigen_bases``
+    runs whenever ``_TWO_CPUS`` allows it, pinned or not."""
+    monkeypatch.setattr(ch, "_blas_threads", lambda: 1)
+
+
+@pytest.mark.usefixtures("serial_blas")
 class TestEigenBases:
     ANGLES = [(0.1, 0.07), (-0.4, 0.03), (0.9, 0.2), (0.0, 0.0125), (1.2, 0.05)]
 
@@ -184,6 +195,14 @@ class TestEigenBases:
         assert type(info.value) is ValueError and info.value.args == ("degenerate spread",)
         assert len(raised_in) == 1 and raised_in[0] is not threading.main_thread()
 
+    @pytest.mark.parametrize("threads, helper", [(1, True), (None, True), (2, False)])
+    def test_helper_runs_only_beside_a_serial_blas(self, monkeypatch, threads, helper):
+        monkeypatch.setattr(ch, "_TWO_CPUS", True)
+        monkeypatch.setattr(ch, "_blas_threads", lambda: threads)
+        seen = self._threads(monkeypatch)
+        self.assert_serial(self.ANGLES, eigen_bases(self.ANGLES, NT, SP, 0.4))
+        assert len(seen) == (2 if helper else 1)
+
     @pytest.mark.parametrize("two_cpus", [True, False])
     def test_first_failing_pair_raises(self, monkeypatch, two_cpus):
         monkeypatch.setattr(ch, "_TWO_CPUS", two_cpus)
@@ -196,6 +215,34 @@ class TestEigenBases:
             eigen_bases(self.ANGLES, NT, SP, 0.4)
 
 
+class TestBlasThreads:
+    @pytest.mark.parametrize("env, threads", [
+        ({}, None),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({"OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4),
+        ({"OMP_NUM_THREADS": "3"}, 3),
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "x"}, None),
+    ])
+    def test_thread_variables_tell_without_openblas(self, monkeypatch, env, threads):
+        monkeypatch.setattr(ch, "_OPENBLAS_THREADS", None)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert ch._blas_threads() == threads
+
+    @pytest.mark.skipif(ch._OPENBLAS_THREADS is None, reason="numpy has no bundled OpenBLAS")
+    def test_openblas_reports_the_thread_count_it_loaded_with(self):
+        probe = "from iassr_sim import channel; print(channel._blas_threads())"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(ch.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "1"
+
+
+@pytest.mark.usefixtures("serial_blas")
 class TestBuildGeometry:
     @staticmethod
     def assert_serial_bases(config, clusters):

@@ -1,12 +1,13 @@
 import dataclasses
+import functools
 import gc
 import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from iassr_sim import channel as ch, harness as H, power
+from iassr_sim import channel as ch, harness as H, power, training
 from iassr_sim.cli import main as cli_main
 from iassr_sim.scenario import (ClusterSpec, ScenarioConfig, bs_boresights,
                                 bs_positions, default_scenario)
@@ -192,17 +193,109 @@ def test_mse_monotone_and_no_floor_without_interference():
     geometry = H.build_geometry(config, clusters)
     plan = H.build_plan(geometry, "iassr")
     boost = 10.0 ** (config.pilot_boost_db / 10.0)
-    means = []
-    for snr in (0.0, 15.0, 30.0, 45.0):
-        acc = []
-        for t in range(30):
-            channels = H.draw_channels(geometry, 17, t)
-            _, c_mse, _ = H.mse_trial(geometry, plan, channels,
-                                      boost * config.power_for_snr(snr), 17, t)
-            acc.append(c_mse)
-        means.append(np.mean(acc))
+    powers = [boost * config.power_for_snr(snr) for snr in (0.0, 15.0, 30.0, 45.0)]
+    acc = []
+    for t in range(30):
+        channels = H.draw_channels(geometry, 17, t)
+        acc.append([c_mse for _, c_mse in H.mse_trial(geometry, plan, channels, powers, 17, t)])
+    means = np.mean(acc, axis=0)
     assert all(a >= b * 0.99 for a, b in zip(means, means[1:]))
     assert means[-1] < 1e-6
+
+
+def one_power_mse_trial(geometry, plan, channels, pilot_power, base_seed, trial):
+    """Reference training pass: one pilot power, everything rebuilt."""
+    cfg = geometry.config
+    edge_dims = {cid: tuple(plan.prebeams[(cid, bs)].rank for bs in range(3))
+                 for cid in plan.edge_ids()}
+    center_dims = {cid: (plan.home_bs(cid), plan.center_dim(cid))
+                   for cid in plan.center_ids()}
+    plan_t = training.design_training(edge_dims, center_dims)
+    amp = np.sqrt(pilot_power)
+
+    def noise(shape, tag, ci):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(H.trial_seed_tuple(base_seed, trial, tag, ci)))
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+    edge_err, center_err = [], []
+    for cid in sorted(plan.edge_ids()):
+        ci = geometry.idx(cid)
+        rows = geometry.states[ci].spec.num_users * cfg.nr
+        y = np.zeros((rows, plan_t.edge_len), dtype=complex)
+        for other in plan.edge_ids():
+            for bs in range(3):
+                if plan.prebeams[(other, bs)].rank == 0:
+                    continue
+                if not geometry.states[ci].visible[bs]:
+                    continue
+                g = H._stacked(geometry, channels, ci, bs) @ plan.prebeams[(other, bs)].matrix
+                y += amp * g @ plan_t.edge_matrix(other, bs)
+        y = y / amp + noise(y.shape, 901, ci) / amp
+        for bs in range(3):
+            if plan_t.edge_dims[cid][bs] == 0:
+                continue
+            est = training.ls_estimate_edge(y, plan_t, cid, bs)
+            true = H._stacked(geometry, channels, ci, bs) @ plan.prebeams[(cid, bs)].matrix
+            edge_err.append(np.mean(np.abs(est - true) ** 2))
+    for cid in sorted(plan.center_ids()):
+        ci = geometry.idx(cid)
+        rows = geometry.states[ci].spec.num_users * cfg.nr
+        y = np.zeros((rows, plan_t.center_len), dtype=complex)
+        for other in plan.center_ids():
+            bs = plan.home_bs(other)
+            if not geometry.states[ci].visible[bs] or plan.center_dim(other) == 0:
+                continue
+            g = H._stacked(geometry, channels, ci, bs) @ plan.prebeams[(other, bs)].matrix
+            y += amp * g @ plan_t.center_matrix(other)
+        y = y / amp + noise(y.shape, 902, ci) / amp
+        est = training.ls_estimate_center(y, plan_t, cid)
+        home = plan.home_bs(cid)
+        true = H._stacked(geometry, channels, ci, home) @ plan.prebeams[(cid, home)].matrix
+        center_err.append(np.mean(np.abs(est - true) ** 2))
+    return (float(np.mean(edge_err)) if edge_err else np.nan,
+            float(np.mean(center_err)) if center_err else np.nan)
+
+
+@functools.cache
+def _training_setup(scenario, scheme):
+    config, clusters = default_scenario() if scenario == "default" else _toy_disjoint_scenario()
+    geometry = H.build_geometry(config, clusters)
+    return geometry, H.build_plan(geometry, scheme)
+
+
+class TestMseTrial:
+    @settings(max_examples=30, deadline=None)
+    @given(scenario=st.sampled_from(["default", "toy"]),
+           scheme=st.sampled_from(["iassr", "pure_jsdm", "pure_ia"]),
+           base_seed=st.integers(0, 2 ** 40), trial=st.integers(0, 200),
+           snrs=st.lists(st.sampled_from([0.0, 40.0]) | st.floats(-10.0, 50.0),
+                         min_size=1, max_size=6))
+    @example(scenario="default", scheme="iassr", base_seed=5, trial=0,
+             snrs=[0.0, 40.0, 40.0, 0.0])
+    def test_every_power_matches_a_pass_of_its_own(self, scenario, scheme, base_seed,
+                                                  trial, snrs):
+        geometry, plan = _training_setup(scenario, scheme)
+        channels = H.draw_channels(geometry, base_seed, trial)
+        boost = 10.0 ** (geometry.config.pilot_boost_db / 10.0)
+        powers = [boost * geometry.config.power_for_snr(snr) for snr in snrs]
+        got = H.mse_trial(geometry, plan, channels, powers, base_seed, trial)
+        expected = [one_power_mse_trial(geometry, plan, channels, p, base_seed, trial)
+                    for p in powers]
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("scenario, scheme, nan_class", [
+        ("default", "pure_jsdm", 0), ("default", "pure_ia", 1),
+        ("toy", "iassr", 0), ("toy", "pure_ia", 1)])
+    def test_a_class_without_links_reads_nan(self, scenario, scheme, nan_class):
+        geometry, plan = _training_setup(scenario, scheme)
+        channels = H.draw_channels(geometry, 3, 1)
+        for pair in H.mse_trial(geometry, plan, channels, [1.0, 1e4], 3, 1):
+            assert np.isnan(pair[nan_class]) and np.isfinite(pair[1 - nan_class])
+
+    def test_no_powers_no_pairs(self):
+        geometry, plan = _training_setup("default", "iassr")
+        assert H.mse_trial(geometry, plan, H.draw_channels(geometry, 3, 1), [], 3, 1) == []
 
 
 class TestCsvAndCli:

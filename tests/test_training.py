@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iassr_sim import training
 from iassr_sim.training import (design_training, dft_rows, estimate_noise_cov,
                                 ls_estimate_center, ls_estimate_edge)
 
@@ -127,3 +128,66 @@ class TestNoiseCov:
 def test_dft_rows_unitary():
     f = dft_rows(12, slice(0, 12))
     assert np.allclose(f @ f.conj().T, np.eye(12), atol=1e-12)
+
+
+class TestPilotBlocks:
+    EDGE = {"e0": (2, 3, 2), "e1": (1, 0, 4), "e2": (2, 2, 2)}
+    CENTER = {"a": (0, 4), "b": (0, 2), "c": (2, 5)}
+
+    def blocks(self, plan):
+        """Every block the plan hands out, under the name it goes by."""
+        out = {("edge", cid, bs): plan.edge_matrix(cid, bs)
+               for cid in plan.edge_dims for bs in range(3)}
+        out.update({("center_block", bs): plan.center_block(bs) for bs in range(3)})
+        out.update({("center", cid): plan.center_matrix(cid) for cid in plan.center_dims})
+        return out
+
+    def test_blocks_are_read_only(self):
+        for name, block in self.blocks(design_training(self.EDGE, self.CENTER)).items():
+            assert not block.flags.writeable, name
+            if block.size:
+                with pytest.raises(ValueError):
+                    block[0, 0] = 0.0
+
+    def test_dft_rows_runs_once_per_block(self, monkeypatch):
+        calls = []
+        build = training.dft_rows
+
+        def counting(n, row_slice):
+            calls.append((n, row_slice.start, row_slice.stop))
+            return build(n, row_slice)
+
+        monkeypatch.setattr(training, "dft_rows", counting)
+        plan = design_training(self.EDGE, self.CENTER)
+        built = len(calls)
+        assert built <= 3 * len(self.EDGE) + 3
+        y_edge = np.ones((2, plan.edge_len), dtype=complex)
+        y_center = np.ones((2, plan.center_len), dtype=complex)
+        for _ in range(3):
+            self.blocks(plan)
+            for cid in self.EDGE:
+                for bs in range(3):
+                    ls_estimate_edge(y_edge, plan, cid, bs)
+            for cid in self.CENTER:
+                ls_estimate_center(y_center, plan, cid)
+                estimate_noise_cov(y_center, plan, cid, 1.0)
+        assert len(calls) == built
+
+    def test_blocks_equal_dft_rows(self):
+        plan = design_training(self.EDGE, self.CENTER)
+        assert plan.edge_len == 7 and plan.center_len == 9
+        for cid, dims in self.EDGE.items():
+            for bs in range(3):
+                start = sum(dims[:bs])
+                rows = dft_rows(sum(dims), slice(start, start + dims[bs]))
+                padded = np.zeros((dims[bs], plan.edge_len), dtype=complex)
+                padded[:, :sum(dims)] = rows
+                got = plan.edge_matrix(cid, bs)
+                assert got.shape == padded.shape and got.tobytes() == padded.tobytes()
+        for bs, start in enumerate((0, 4, 4)):
+            rows = dft_rows(9, slice(start, start + plan.bs_max[bs]))
+            assert plan.center_block(bs).tobytes() == rows.tobytes()
+        for cid, (bs, m) in self.CENTER.items():
+            start = sum(plan.bs_max[:bs])
+            rows = dft_rows(9, slice(start, start + m))
+            assert plan.center_matrix(cid).tobytes() == rows.tobytes()
