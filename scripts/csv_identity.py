@@ -42,6 +42,8 @@ def job_list():
         jobs.append((f"fig10_s{seed}_t5", "fig10", seed, 5))
     for seed in (2700000, 2700010):  # the training workload's first jobs
         jobs.append((f"fig11_s{seed}_t10", "fig11", seed, 10))
+    for fig, trials in (("fig4", 10), ("fig5", 10), ("fig6", 10), ("fig8", 5), ("fig9", 10)):
+        jobs.append((f"{fig}_s1234_t{trials}", fig, 1234, trials))  # the config's seed
     return jobs
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every figure experiment on the bundled scenario and write the CSV
-tables under results/ (about 31-34 s on a 2-core x86_64 VM; fig7 takes about
-10-11 s of it, fig9 7-9 s and fig11 about 1 s)."""
+tables under results/ (about 28 s on a 2-core x86_64 VM; fig7 takes about
+8-9 s of it, fig9 5-8 s and fig11 about 1 s)."""
 
 import argparse
 import time

@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "overhead_factor",
     "ia_efficient",
-    "effective_rate",
     "divide_clusters",
 ]
 
@@ -53,15 +52,6 @@ def ia_efficient(allocation, dims) -> bool:
     best single BS could."""
     streams = allocation.streams if hasattr(allocation, "streams") else allocation
     return int(sum(streams)) > int(max(dims))
-
-
-def effective_rate(alpha, capacity):
-    """Rate scaled by the non-overhead fraction of the block."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if capacity < 0:
-        raise ValueError("capacity must be nonnegative")
-    return alpha * capacity
 
 
 def divide_clusters(candidates, criterion="dof"):

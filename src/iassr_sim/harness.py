@@ -41,7 +41,6 @@ __all__ = [
     "solve_links",
     "evaluate_rates",
     "allocation_problem",
-    "de_baseline",
     "comp_bound_spectra",
     "comp_bound_rates",
     "mse_trial",
@@ -520,14 +519,6 @@ def evaluate_rates(geometry, plan, links, total_power, policy,
                       p_cent=alloc.p_cent, split_factor=alloc.split_factor)
 
 
-def de_baseline(geometry: SystemGeometry, channels, total_power) -> RateReport:
-    """Single-BS service with system-wide beam exclusion and a flat power
-    split; no alignment, no soft reuse."""
-    plan = build_plan(geometry, "de")
-    links = solve_links(geometry, plan, channels)
-    return evaluate_rates(geometry, plan, links, total_power, "equal")
-
-
 def comp_bound_spectra(geometry: SystemGeometry, channels):
     """(cluster id, squared singular values of its full channel from its
     strongest BS) for every cluster; the power-free part of
@@ -694,11 +685,14 @@ class ExperimentSpec:
             raise ValueError("sweep grids must be non-empty")
 
 
-def _mean_stderr(values):
+def _row(sweep, scheme, metric, values):
+    """One CSV row: the mean and standard error of ``values``, one value per
+    contributing trial (``nan,0,0`` when none contributed)."""
+    if not values:
+        return (sweep, scheme, metric, float("nan"), 0.0, 0)
     arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
     stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return mean, stderr
+    return (sweep, scheme, metric, float(arr.mean()), stderr, len(values))
 
 
 def write_csv(path, rows):
@@ -721,12 +715,49 @@ def _class_means(report: RateReport, classes, alphas=None):
     for cid, rate in report.per_cluster.items():
         r = rate * (alphas[cid] if alphas else 1.0)
         (edge if classes[cid] is None else center).append(r)
-    out = {}
-    out["edge"] = float(np.mean(edge)) if edge else 0.0
-    out["center"] = float(np.mean(center)) if center else 0.0
-    out["total"] = float(sum(report.per_cluster[cid] * (alphas[cid] if alphas else 1.0)
-                             for cid in report.per_cluster))
-    return out
+    return {"edge": float(np.mean(edge)) if edge else 0.0,
+            "center": float(np.mean(center)) if center else 0.0}
+
+
+def _effective_sum(report: RateReport, alphas):
+    """Sum of the cluster rates, each discounted by its data fraction of the
+    coherence block (``plan_alphas``)."""
+    return sum(report.per_cluster[cid] * alphas[cid] for cid in report.per_cluster)
+
+
+def _trials(spec: ExperimentSpec, geometry, plans, per_trial):
+    """The Monte Carlo loop of every fixed-geometry figure.
+
+    Each trial draws its channels once and solves each distinct plan of
+    ``plans`` (name -> ServicePlan) once: a plan object given under two
+    names is solved once and its links handed out under both. Then
+    ``per_trial(t, channels, links)``, with ``links`` keyed like ``plans``,
+    reduces the trial. A trial that raises ``TrialError`` in the solve or in
+    ``per_trial`` is dropped whole (``_abort_rows`` counts it). Returns what
+    ``per_trial`` returned for each kept trial, in trial order.
+    """
+    kept = []
+    for t in range(spec.trials):
+        channels = draw_channels(geometry, spec.base_seed, t)
+        solved = {}  # id(plan) -> links
+        try:
+            for plan in plans.values():
+                if id(plan) not in solved:
+                    solved[id(plan)] = solve_links(geometry, plan, channels)
+            links = {name: solved[id(plan)] for name, plan in plans.items()}
+            kept.append(per_trial(t, channels, links))
+        except TrialError:
+            continue
+    return kept
+
+
+def _abort_rows(spec: ExperimentSpec, kept):
+    """The diagnostic row that opens a figure's CSV when ``_trials``
+    dropped any trial."""
+    aborted = spec.trials - len(kept)
+    if not aborted:
+        return []
+    return [("diagnostic", "harness", "aborted_trials", float(aborted), 0.0, aborted)]
 
 
 def run(spec: ExperimentSpec):
@@ -773,12 +804,9 @@ def _fig3(spec: ExperimentSpec):
         ("rank_M_center", m_center_ssr), ("rank_M_edge", m_edge),
         ("streams_S_edge", s_edge_iassr),
     ]:
-        m, se = _mean_stderr(vals)
-        rows.append(("default", "iassr", name, m, se, len(vals)))
-    m, se = _mean_stderr(m_center_de)
-    rows.append(("default", "de", "rank_M_center", m, se, len(m_center_de)))
-    m, se = _mean_stderr(s_edge_de)
-    rows.append(("default", "de", "streams_S_edge", m, se, len(s_edge_de)))
+        rows.append(_row("default", "iassr", name, vals))
+    rows.append(_row("default", "de", "rank_M_center", m_center_de))
+    rows.append(_row("default", "de", "streams_S_edge", s_edge_de))
     med_ssr = float(np.median(m_center_ssr))
     med_de = float(np.median(m_center_de))
     rows.append(("default", "iassr", "median_M_center", med_ssr, 0.0, len(m_center_ssr)))
@@ -789,36 +817,27 @@ def _fig3(spec: ExperimentSpec):
 def _rate_sweep(spec: ExperimentSpec, metric_class: str):
     """Shared machinery of the rate-versus-SNR figures."""
     geometry = build_geometry(spec.config, spec.clusters)
-    plans = {s: build_plan(geometry, s) for s in ("iassr", "de", "equal_power")}
+    plans = {s: build_plan(geometry, s) for s in ("iassr", "de")}
+    plans["equal_power"] = plans["iassr"]  # the same links under a flat split
     classes = geometric_assignment(geometry)
-    per_point = {(snr, s): [] for snr in spec.snr_grid
-                 for s in ("iassr", "de", "equal_power", "comp_bound")}
-    aborted = 0
-    for t in range(spec.trials):
-        channels = draw_channels(geometry, spec.base_seed, t)
-        try:
-            links = {s: solve_links(geometry, plans[s], channels) for s in ("iassr", "de")}
-        except TrialError:
-            aborted += 1
-            continue
-        links["equal_power"] = links["iassr"]
+    schemes = ("iassr", "de", "equal_power", "comp_bound")
+
+    def trial(t, channels, links):
         bound_spectra = comp_bound_spectra(geometry, channels)
+        out = {}
         for snr in spec.snr_grid:
             p_total = spec.config.power_for_snr(snr)
             for s, policy in (("iassr", "golden"), ("de", "equal"), ("equal_power", "equal")):
                 rep = evaluate_rates(geometry, plans[s], links[s], p_total, policy)
-                per_point[(snr, s)].append(_class_means(rep, classes))
+                out[(snr, s)] = _class_means(rep, classes)[metric_class]
             rep = comp_bound_rates(bound_spectra, p_total)
-            per_point[(snr, "comp_bound")].append(_class_means(rep, classes))
-    rows = []
-    if aborted:
-        rows.append(("diagnostic", "harness", "aborted_trials", float(aborted), 0.0, aborted))
-    for snr in spec.snr_grid:
-        for s in ("iassr", "de", "equal_power", "comp_bound"):
-            vals = [v[metric_class] for v in per_point[(snr, s)]]
-            m, se = _mean_stderr(vals)
-            rows.append((snr, s, f"rate_{metric_class}_per_cluster", m, se, len(vals)))
-    return rows
+            out[(snr, "comp_bound")] = _class_means(rep, classes)[metric_class]
+        return out
+
+    kept = _trials(spec, geometry, plans, trial)
+    return _abort_rows(spec, kept) + [
+        _row(snr, s, f"rate_{metric_class}_per_cluster", [r[(snr, s)] for r in kept])
+        for snr in spec.snr_grid for s in schemes]
 
 
 def _fig4(spec):
@@ -836,30 +855,18 @@ def _fig6(spec: ExperimentSpec, snr_db=30.0):
     plans = {s: build_plan(geometry, s) for s in ("iassr", "de")}
     classes = geometric_assignment(geometry)
     p_total = spec.config.power_for_snr(snr_db)
-    reports = {s: [] for s in plans}
-    aborted = 0
-    for t in range(spec.trials):
-        channels = draw_channels(geometry, spec.base_seed, t)
-        try:
-            trial = {s: evaluate_rates(geometry, plans[s],
-                                       solve_links(geometry, plans[s], channels),
-                                       p_total, policy)
-                     for s, policy in (("iassr", "golden"), ("de", "equal"))}
-        except TrialError:
-            aborted += 1
-            continue
-        for s, rep in trial.items():
-            reports[s].append(rep)
-    rows = []
-    if aborted:
-        rows.append(("diagnostic", "harness", "aborted_trials", float(aborted), 0.0, aborted))
+    policies = {"iassr": "golden", "de": "equal"}
+    kept = _trials(spec, geometry, plans, lambda t, channels, links: {
+        s: evaluate_rates(geometry, plans[s], links[s], p_total, policy)
+        for s, policy in policies.items()})
+    rows = _abort_rows(spec, kept)
     for t_len in spec.t_grid:
-        for s in ("iassr", "de"):
+        for s in plans:
             alphas = plan_alphas(geometry, plans[s], t_len)
-            means = [_class_means(rep, classes, alphas) for rep in reports[s]]
+            means = [_class_means(reports[s], classes, alphas) for reports in kept]
             for cls in ("center", "edge"):
-                m, se = _mean_stderr([v[cls] for v in means])
-                rows.append((t_len, s, f"effective_rate_{cls}_per_cluster", m, se, len(means)))
+                rows.append(_row(t_len, s, f"effective_rate_{cls}_per_cluster",
+                                 [m[cls] for m in means]))
     return [write_csv(Path(spec.out_dir) / "fig6.csv", rows)]
 
 
@@ -975,19 +982,11 @@ def _fig7(spec: ExperimentSpec, coherence_t=250):
                     rep = evaluate_rates(geometry, plan, links, p_total, "golden")
                 except (TrialError, RuntimeError, ValueError, np.linalg.LinAlgError):
                     continue
-                eff = sum(rep.per_cluster[cid] * alphas[cid] for cid in rep.per_cluster)
                 rows_acc[(snr, crit, "rate")].append(rep.sum_capacity)
-                rows_acc[(snr, crit, "effective_rate")].append(eff)
-    rows = []
-    for snr in spec.snr_grid:
-        for crit in ("dof", "capacity"):
-            for met in ("rate", "effective_rate"):
-                vals = rows_acc[(snr, crit, met)]
-                if not vals:
-                    rows.append((snr, f"iassr_{crit}", f"{met}_sum", float("nan"), 0.0, 0))
-                    continue
-                m, se = _mean_stderr(vals)
-                rows.append((snr, f"iassr_{crit}", f"{met}_sum", m, se, len(vals)))
+                rows_acc[(snr, crit, "effective_rate")].append(_effective_sum(rep, alphas))
+    rows = [_row(snr, f"iassr_{crit}", f"{met}_sum", rows_acc[(snr, crit, met)])
+            for snr in spec.snr_grid for crit in ("dof", "capacity")
+            for met in ("rate", "effective_rate")]
     return [write_csv(Path(spec.out_dir) / "fig7.csv", rows)]
 
 
@@ -1022,14 +1021,13 @@ def _fig8(spec: ExperimentSpec, snrs=(0.0, 20.0, 40.0), n_grid=40):
     geometry = build_geometry(spec.config, spec.clusters)
     plan = build_plan(geometry, "iassr")
     classes = geometric_assignment(geometry)
-    grid_acc = {(snr, g): {"center": [], "edge": [], "avg": [], "sum": [], "alpha": []}
-                for snr in snrs for g in range(n_grid)}
-    alg_alpha, alg_sum = {snr: [] for snr in snrs}, {snr: [] for snr in snrs}
-    for t in range(spec.trials):
-        channels = draw_channels(geometry, spec.base_seed, t)
-        links = solve_links(geometry, plan, channels)
-        problem = allocation_problem(plan, links, spec.config.noise_variance)
-        n_center = sum(l.n_streams for l in problem.center_links)
+    grid_metrics = {"center": "rate_center_per_cluster", "edge": "rate_edge_per_cluster",
+                    "avg": "rate_avg_per_cluster", "sum": "sum_capacity"}
+
+    def trial(t, channels, links):
+        links = links["iassr"]
+        n_center = sum(c.n_streams for c in links.center.values())
+        out = {}
         for snr in snrs:
             p_total = spec.config.power_for_snr(snr)
             p_max = p_total / max(n_center, 1)
@@ -1038,29 +1036,26 @@ def _fig8(spec: ExperimentSpec, snrs=(0.0, 20.0, 40.0), n_grid=40):
                 rep = evaluate_rates(geometry, plan, links, p_total, "fixed",
                                      fixed_p_cent=p_cent)
                 means = _class_means(rep, classes)
-                acc = grid_acc[(snr, g)]
-                acc["center"].append(means["center"])
-                acc["edge"].append(means["edge"])
-                acc["avg"].append(0.5 * (means["center"] + means["edge"]))
-                acc["sum"].append(rep.sum_capacity)
-                acc["alpha"].append(rep.split_factor)
+                out[(snr, g, "center")] = means["center"]
+                out[(snr, g, "edge")] = means["edge"]
+                out[(snr, g, "avg")] = 0.5 * (means["center"] + means["edge"])
+                out[(snr, g, "sum")] = rep.sum_capacity
+                out[(snr, g, "alpha")] = rep.split_factor
             rep = evaluate_rates(geometry, plan, links, p_total, "golden")
-            alg_alpha[snr].append(rep.split_factor)
-            alg_sum[snr].append(rep.sum_capacity)
+            out[(snr, "alg1_split_factor")] = rep.split_factor
+            out[(snr, "alg1_sum_capacity")] = rep.sum_capacity
+        return out
+
+    kept = _trials(spec, geometry, {"iassr": plan}, trial)
     paths = []
     for snr in snrs:
-        rows = []
+        rows = _abort_rows(spec, kept)
         for g in range(n_grid):
-            acc = grid_acc[(snr, g)]
-            a = float(np.mean(acc["alpha"]))
-            for met in ("center", "edge", "avg", "sum"):
-                m, se = _mean_stderr(acc[met])
-                name = "sum_capacity" if met == "sum" else f"rate_{met}_per_cluster"
-                rows.append((f"{a:.6g}", "iassr", name, m, se, spec.trials))
-        m, se = _mean_stderr(alg_alpha[snr])
-        rows.append(("optimum", "iassr", "alg1_split_factor", m, se, spec.trials))
-        m, se = _mean_stderr(alg_sum[snr])
-        rows.append(("optimum", "iassr", "alg1_sum_capacity", m, se, spec.trials))
+            a = float(np.mean([r[(snr, g, "alpha")] for r in kept]))
+            rows += [_row(f"{a:.6g}", "iassr", name, [r[(snr, g, met)] for r in kept])
+                     for met, name in grid_metrics.items()]
+        rows += [_row("optimum", "iassr", met, [r[(snr, met)] for r in kept])
+                 for met in ("alg1_split_factor", "alg1_sum_capacity")]
         paths.append(write_csv(Path(spec.out_dir) / f"fig8_snr{int(snr)}.csv", rows))
     return paths
 
@@ -1068,44 +1063,29 @@ def _fig8(spec: ExperimentSpec, snrs=(0.0, 20.0, 40.0), n_grid=40):
 def _fig9(spec: ExperimentSpec, snr_db=30.0):
     """Adaptive division against the two pure strategies over the block
     length (block lengths below the training span of the largest plans are
-    skipped; the division degenerates there)."""
+    skipped; the division degenerates there). Block lengths that divide the
+    clusters alike share one plan, solved and evaluated once per trial."""
     geometry = build_geometry(spec.config, spec.clusters)
     p_total = spec.config.power_for_snr(snr_db)
     t_grid = tuple(t for t in spec.t_grid if t >= 250) or (250, 550)
-    pure_plans = {s: build_plan(geometry, s) for s in ("pure_ia", "pure_jsdm")}
-    acc = {(t_len, s): [] for t_len in t_grid
-           for s in ("iassr", "pure_ia", "pure_jsdm")}
-    adaptive_plans = {t_len: build_plan(geometry, "iassr",
-                                        adaptive_assignment(geometry, t_len))
-                      for t_len in t_grid}
-    for t in range(spec.trials):
-        channels = draw_channels(geometry, spec.base_seed, t)
-        pure_reports = {}
-        for s, policy in (("pure_ia", "golden"), ("pure_jsdm", "equal")):
-            links = solve_links(geometry, pure_plans[s], channels)
-            pure_reports[s] = evaluate_rates(geometry, pure_plans[s], links,
-                                             p_total, policy)
-        adaptive_reports = {}
-        for t_len, plan in adaptive_plans.items():
-            links = solve_links(geometry, plan, channels)
-            adaptive_reports[t_len] = evaluate_rates(geometry, plan, links,
-                                                     p_total, "golden")
-        for t_len in t_grid:
-            for s in ("pure_ia", "pure_jsdm"):
-                alphas = plan_alphas(geometry, pure_plans[s], t_len)
-                rep = pure_reports[s]
-                acc[(t_len, s)].append(sum(rep.per_cluster[c] * alphas[c]
-                                           for c in rep.per_cluster))
-            plan = adaptive_plans[t_len]
-            alphas = plan_alphas(geometry, plan, t_len)
-            rep = adaptive_reports[t_len]
-            acc[(t_len, "iassr")].append(sum(rep.per_cluster[c] * alphas[c]
-                                             for c in rep.per_cluster))
-    rows = []
+    plans = {s: build_plan(geometry, s) for s in ("pure_ia", "pure_jsdm")}
+    adaptive = {}  # block length -> its assignment, which names its plan
     for t_len in t_grid:
-        for s in ("iassr", "pure_ia", "pure_jsdm"):
-            m, se = _mean_stderr(acc[(t_len, s)])
-            rows.append((t_len, s, "effective_rate_sum", m, se, spec.trials))
+        assignment = adaptive_assignment(geometry, t_len)
+        adaptive[t_len] = key = frozenset(assignment.items())
+        if key not in plans:
+            plans[key] = build_plan(geometry, "iassr", assignment)
+    kept = _trials(spec, geometry, plans, lambda t, channels, links: {
+        name: evaluate_rates(geometry, plan, links[name], p_total,
+                             "equal" if name == "pure_jsdm" else "golden")
+        for name, plan in plans.items()})
+    rows = _abort_rows(spec, kept)
+    for t_len in t_grid:
+        for s, name in (("iassr", adaptive[t_len]), ("pure_ia", "pure_ia"),
+                        ("pure_jsdm", "pure_jsdm")):
+            alphas = plan_alphas(geometry, plans[name], t_len)
+            rows.append(_row(t_len, s, "effective_rate_sum",
+                             [_effective_sum(reports[name], alphas) for reports in kept]))
     return [write_csv(Path(spec.out_dir) / "fig9.csv", rows)]
 
 
@@ -1113,25 +1093,23 @@ def _fig10(spec: ExperimentSpec):
     """Gain of the two-level power optimizer over a flat split."""
     geometry = build_geometry(spec.config, spec.clusters)
     plan = build_plan(geometry, "iassr")
-    acc = {(snr, s): [] for snr in spec.snr_grid for s in ("iassr", "equal_power")}
-    split_acc = {snr: [] for snr in spec.snr_grid}
-    for t in range(spec.trials):
-        channels = draw_channels(geometry, spec.base_seed, t)
-        links = solve_links(geometry, plan, channels)
+
+    def trial(t, channels, links):
+        out = {}
         for snr in spec.snr_grid:
             p_total = spec.config.power_for_snr(snr)
-            rep = evaluate_rates(geometry, plan, links, p_total, "golden")
-            acc[(snr, "iassr")].append(rep.sum_capacity)
-            split_acc[snr].append(rep.split_factor)
-            rep = evaluate_rates(geometry, plan, links, p_total, "equal")
-            acc[(snr, "equal_power")].append(rep.sum_capacity)
-    rows = []
-    for snr in spec.snr_grid:
-        for s in ("iassr", "equal_power"):
-            m, se = _mean_stderr(acc[(snr, s)])
-            rows.append((snr, s, "sum_capacity", m, se, spec.trials))
-        m, se = _mean_stderr(split_acc[snr])
-        rows.append((snr, "iassr", "alg1_split_factor", m, se, spec.trials))
+            rep = evaluate_rates(geometry, plan, links["iassr"], p_total, "golden")
+            out[(snr, "iassr", "sum_capacity")] = rep.sum_capacity
+            out[(snr, "iassr", "alg1_split_factor")] = rep.split_factor
+            rep = evaluate_rates(geometry, plan, links["iassr"], p_total, "equal")
+            out[(snr, "equal_power", "sum_capacity")] = rep.sum_capacity
+        return out
+
+    kept = _trials(spec, geometry, {"iassr": plan}, trial)
+    keys = [(snr, s, met) for snr in spec.snr_grid
+            for s, met in (("iassr", "sum_capacity"), ("equal_power", "sum_capacity"),
+                           ("iassr", "alg1_split_factor"))]
+    rows = _abort_rows(spec, kept) + [_row(*key, [r[key] for r in kept]) for key in keys]
     return [write_csv(Path(spec.out_dir) / "fig10.csv", rows)]
 
 
@@ -1141,18 +1119,13 @@ def _fig11(spec: ExperimentSpec):
     plan = build_plan(geometry, "iassr")
     boost = 10.0 ** (spec.config.pilot_boost_db / 10.0)
     powers = [boost * spec.config.power_for_snr(snr) for snr in spec.snr_grid]
-    acc = {(snr, cls): [] for snr in spec.snr_grid for cls in ("edge", "center")}
-    for t in range(spec.trials):
-        channels = draw_channels(geometry, spec.base_seed, t)
-        mses = mse_trial(geometry, plan, channels, powers, spec.base_seed, t)
-        for snr, (e_mse, c_mse) in zip(spec.snr_grid, mses):
-            acc[(snr, "edge")].append(e_mse)
-            acc[(snr, "center")].append(c_mse)
-    rows = []
-    for snr in spec.snr_grid:
-        for cls in ("center", "edge"):
-            m, se = _mean_stderr(acc[(snr, cls)])
-            rows.append((snr, "iassr", f"mse_{cls}", m, se, spec.trials))
+    # training needs no link solve: one (edge, center) MSE pair per SNR
+    kept = _trials(spec, geometry, {}, lambda t, channels, links: mse_trial(
+        geometry, plan, channels, powers, spec.base_seed, t))
+    rows = _abort_rows(spec, kept)
+    for i, snr in enumerate(spec.snr_grid):
+        for cls, j in (("center", 1), ("edge", 0)):
+            rows.append(_row(snr, "iassr", f"mse_{cls}", [pairs[i][j] for pairs in kept]))
     return [write_csv(Path(spec.out_dir) / "fig11.csv", rows)]
 
 

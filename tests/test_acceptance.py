@@ -214,6 +214,7 @@ def test_criterion_6_dimension_relationships():
 def test_criterion_7_rate_ordering():
     geometry = _Shared.geometry()
     plan = _Shared.plan("iassr")
+    plan_de = _Shared.plan("de")
     cfg = geometry.config
     classes = H.geometric_assignment(geometry)
     snrs = (0.0, 10.0, 20.0, 30.0, 40.0)
@@ -223,10 +224,11 @@ def test_criterion_7_rate_ordering():
     for t in range(trials):
         channels = H.draw_channels(geometry, cfg.seed, t)
         links = H.solve_links(geometry, plan, channels)
+        links_de = H.solve_links(geometry, plan_de, channels)
         for snr in snrs:
             p_tot = cfg.power_for_snr(snr)
             rep = H.evaluate_rates(geometry, plan, links, p_tot, "golden")
-            de = H.de_baseline(geometry, channels, p_tot)
+            de = H.evaluate_rates(geometry, plan_de, links_de, p_tot, "equal")
             for s, r in (("iassr", rep), ("de", de)):
                 means = H._class_means(r, classes)
                 acc[(snr, s, "edge")].append(means["edge"])
@@ -274,7 +276,8 @@ def test_criterion_8_overhead_crossover():
         channels = H.draw_channels(geometry, cfg.seed, t)
         links = H.solve_links(geometry, plan, channels)
         reports.append(H.evaluate_rates(geometry, plan, links, p30, "golden"))
-        de_reports.append(H.de_baseline(geometry, channels, p30))
+        links_de = H.solve_links(geometry, plan_de, channels)
+        de_reports.append(H.evaluate_rates(geometry, plan_de, links_de, p30, "equal"))
     t_grid = (100, 150, 200, 250, 300, 400, 500, 700, 1000)
     diffs = []
     for t_len in t_grid:

@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iassr_sim.division import (divide_clusters, effective_rate, ia_efficient,
-                                overhead_factor)
+from iassr_sim.division import divide_clusters, ia_efficient, overhead_factor
 
 # (dims, nr) -> cooperative alignment pays off, from the published table
 EFFICIENCY_ROWS = [
@@ -41,23 +40,6 @@ class TestOverheadFactor:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             overhead_factor("other", 6, 3, 2, 16, 4.0, 250, train_len=18)
-
-
-class TestEffectiveRate:
-    def test_zero_fraction(self):
-        assert effective_rate(0.0, 12.0) == 0.0
-
-    def test_unit_fraction(self):
-        assert effective_rate(1.0, 12.0) == 12.0
-
-    def test_product(self):
-        assert effective_rate(0.4, 10.0) == pytest.approx(4.0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            effective_rate(1.2, 1.0)
-        with pytest.raises(ValueError):
-            effective_rate(0.5, -1.0)
 
 
 class TestDivideClusters:

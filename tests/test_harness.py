@@ -474,3 +474,55 @@ class TestAlignmentTable:
         H.run(H.ExperimentSpec(figure="fig7", config=config, clusters=clusters,
                                trials=1, base_seed=seed, out_dir=tmp_path))
         assert len(calls) == len(set(calls)) <= 9
+
+
+class TestTrialEngine:
+    """Figures 4-6 and 8-11 share one trial loop and one abort policy."""
+
+    @pytest.mark.parametrize("figure", ["fig4", "fig6", "fig8", "fig9", "fig10", "fig11"])
+    def test_an_aborted_trial_is_dropped_whole_and_counted(self, figure, tmp_path,
+                                                           monkeypatch):
+        drawn = []
+        draw_channels, solve_links, mse_trial = H.draw_channels, H.solve_links, H.mse_trial
+
+        def draw(geometry, base_seed, trial):
+            drawn.append(trial)
+            return draw_channels(geometry, base_seed, trial)
+
+        def failing(solve):
+            def wrapped(*args, **kwargs):
+                if drawn[-1] == 1:
+                    raise H.TrialError("injected")
+                return solve(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(H, "draw_channels", draw)
+        if figure == "fig11":
+            monkeypatch.setattr(H, "mse_trial", failing(mse_trial))
+        else:
+            monkeypatch.setattr(H, "solve_links", failing(solve_links))
+        config, clusters = default_scenario()
+        paths = H.run(H.ExperimentSpec(figure=figure, config=config, clusters=clusters,
+                                       trials=3, base_seed=5, out_dir=tmp_path))
+        assert drawn == [0, 1, 2]
+        for path in paths:
+            lines = path.read_text().splitlines()
+            assert lines[1] == "diagnostic,harness,aborted_trials,1,0,1"
+            assert len(lines) > 2
+            assert all(line.endswith(",2") for line in lines[2:])
+
+    def test_fig9_solves_each_distinct_plan_once_per_trial(self, tmp_path, monkeypatch):
+        plans = []
+        solve_links = H.solve_links
+
+        def counted(geometry, plan, channels, *args):
+            plans.append(plan)
+            return solve_links(geometry, plan, channels, *args)
+
+        monkeypatch.setattr(H, "solve_links", counted)
+        config, clusters = default_scenario()
+        H.run(H.ExperimentSpec(figure="fig9", config=config, clusters=clusters,
+                               trials=2, base_seed=5, out_dir=tmp_path))
+        # pure_ia, pure_jsdm and the one adaptive division every block length shares
+        assert len(plans) == 6
+        assert len({id(plan) for plan in plans}) == 3
