@@ -341,7 +341,7 @@ def _aligned(table, cid, eff, streams):
     if key not in table:
         try:
             table[key] = ia.ia_precoders(eff, ia.DofAllocation(key[1]))
-        except (RuntimeError, ValueError) as exc:  # LinAlgError is a ValueError
+        except (ia.AlignmentError, np.linalg.LinAlgError) as exc:
             table[key] = (type(exc), exc.args)
     entry = table[key]
     if isinstance(entry, tuple):
@@ -352,11 +352,12 @@ def _aligned(table, cid, eff, streams):
 def _solve_alignment(geometry, plan, cid, eff, streams, table):
     """Solve one edge cluster's alignment; the all-edge comparison scheme
     falls back to the best realizable allocation when the search optimum is
-    not constructible on this realization (the feasibility count is only an
-    upper bound)."""
+    not constructible on this realization. The paper's feasibility count is
+    only an upper bound: ``ia.ia_precoders`` rejects an improper triple at
+    once, and a proper one can still fail on a given realization."""
     try:
         return _aligned(table, cid, eff, streams), streams
-    except (RuntimeError, ValueError):
+    except (ia.AlignmentError, np.linalg.LinAlgError):
         if plan.scheme != "pure_ia":
             raise
     dims = tuple(plan.prebeams[(cid, bs)].rank for bs in range(3))
@@ -365,7 +366,7 @@ def _solve_alignment(geometry, plan, cid, eff, streams, table):
             continue
         try:
             sol = _aligned(table, cid, eff, cand.streams)
-        except (RuntimeError, ValueError):
+        except (ia.AlignmentError, np.linalg.LinAlgError):
             continue
         # remember the realizable allocation so later trials skip the
         # expensive failed attempt
@@ -1006,7 +1007,7 @@ def _plan_with_fallback(geometry, assignment, channels, table):
                 eff = _edge_channels(geometry, plan, channels, cid)
                 try:
                     _aligned(table, cid, eff, plan.edge_streams[cid])
-                except (RuntimeError, ValueError):
+                except (ia.AlignmentError, np.linalg.LinAlgError):
                     dims = plan.exclude_all_dims[cid]
                     assignment[cid] = int(np.argmax(dims))
                     demoted = True

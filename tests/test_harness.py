@@ -448,9 +448,9 @@ class TestAlignmentTable:
         assert isinstance(table[("e1", (3, 3, 3))], tuple)
         self._assert_no_exception_stored(table)
 
-    def test_unconverged_alignment_raises_the_same_with_a_table(self):
-        # (1,1,1) on dims (2,1,1) with two receive antennas: properness holds
-        # but two BSs have no precoder freedom, so the iteration cannot align
+    def test_improper_alignment_raises_the_same_with_a_table(self):
+        # (1,1,1) on dims (2,1,1) with two receive antennas passes the
+        # paper's count but is improper: 4 variables for 6 equations
         rng = np.random.default_rng(3)
         dims, nr = (2, 1, 1), 2
         eff = [[rng.standard_normal((nr, dims[i])) + 1j * rng.standard_normal((nr, dims[i]))
@@ -463,8 +463,21 @@ class TestAlignmentTable:
                 H._aligned(table, "x", eff, (1, 1, 1))
             assert type(info.value) is type(plain.value)
             assert str(info.value) == str(plain.value)
+            assert info.value.reason == "improper"
             assert info.value.__context__ is None
         self._assert_no_exception_stored(table)
+
+    def test_a_programming_error_is_not_a_failed_alignment(self, geometry, iassr_plan,
+                                                           monkeypatch):
+        def broken(eff, allocation):
+            raise TypeError("bad argument")
+
+        monkeypatch.setattr(H.ia, "ia_precoders", broken)
+        channels = H.draw_channels(geometry, 41, 2)
+        table = {}
+        with pytest.raises(TypeError):
+            H.solve_links(geometry, iassr_plan, channels, table)
+        assert table == {}
 
     # at 700006 the DoF plan's first solve fails and the demotion loop runs
     @pytest.mark.parametrize("seed", [700000, 700003, 700006, 7])

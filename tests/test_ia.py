@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iassr_sim.ia import (DofAllocation, allocation_feasible, dof_search,
-                          effective_edge_channel, ia_decoders, ia_precoders,
-                          ranked_allocations)
+from iassr_sim import ia
+from iassr_sim.ia import (AlignmentError, DofAllocation, InfeasibleAllocation,
+                          allocation_feasible, dof_search, effective_edge_channel,
+                          ia_decoders, ia_precoders, ranked_allocations)
 
 # published search results: (M1, M2, M3, Nr) -> (sum, triple)
 PUBLISHED_TABLE = [
@@ -127,11 +128,135 @@ class TestPrecoders:
                                               sol.precoders[k])
                 assert np.linalg.svd(link, compute_uv=False)[-1] > 1e-6
 
-    def test_asymmetric_feasible_case_via_iteration(self):
-        # one wide BS makes (2,1,1) constructible
+    def test_asymmetric_feasible_case_in_closed_form(self, monkeypatch):
+        # one wide BS makes (2,1,1) constructible: user 1 has as many
+        # streams as antennas, so BSs 2 and 3 null it and the rest chains
+        monkeypatch.setattr(ia, "_leakage_minimization", _never)
         ch = _generic_channels((4, 3, 3), 2, 77)
         sol = ia_precoders(ch, DofAllocation((2, 1, 1)), tol=1e-9, max_iter=5000)
         assert sol.leakage <= 1e-8
+        for i in (1, 2):
+            assert np.linalg.norm(ch[0][i] @ sol.precoders[i]) <= 1e-12 * np.linalg.norm(ch[0][i])
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the iterative solver ran")
+
+
+def _max_cross(ch):
+    return max(np.linalg.norm(ch[k][i]) for k in range(3) for i in range(3) if i != k)
+
+
+class TestProperness:
+    @pytest.mark.parametrize("dims", [(2, 1, 2), (4, 1, 1)])
+    def test_improper_triple_fails_before_any_solver(self, dims, monkeypatch):
+        # the paper's count admits both; (2,1,2) has 5 variables for 6
+        # equations, and on (4,1,1) user 1 has 1 variable for 2 equations
+        assert allocation_feasible((1, 1, 1), dims, 2)
+        monkeypatch.setattr(ia, "_leakage_minimization", _never)
+        with pytest.raises(AlignmentError, match="^improper") as info:
+            ia_precoders(_generic_channels(dims, 2, 41), DofAllocation((1, 1, 1)))
+        assert info.value.reason == "improper"
+        assert isinstance(info.value, RuntimeError)
+
+    @pytest.mark.parametrize("streams,dims,nr", [
+        ((1, 1, 1), (2, 2, 2), 2), ((1, 1, 1), (3, 2, 1), 2), ((2, 2, 2), (4, 4, 4), 4)])
+    def test_proper_triples_pass_the_screen(self, streams, dims, nr):
+        assert ia._proper(streams, dims, nr)
+        sol = ia_precoders(_generic_channels(dims, nr, 43), DofAllocation(streams))
+        assert sol.leakage <= 1e-9
+
+    def test_a_zero_cross_link_carries_no_equations(self):
+        # improper with all six equation sets; user 1 sees neither cross
+        # link, so only four sets remain and they are proper
+        assert not ia._proper((1, 1, 1), (4, 1, 1), 2)
+        ch = _generic_channels((4, 1, 1), 2, 47)
+        ch[0][1] = np.zeros((2, 1))
+        ch[0][2] = np.zeros((2, 1))
+        sol = ia_precoders(ch, DofAllocation((1, 1, 1)))
+        assert sol.leakage <= 1e-9
+
+    def test_three_antenna_users_still_iterate(self, monkeypatch):
+        calls = []
+        solve = ia._leakage_minimization
+        monkeypatch.setattr(ia, "_leakage_minimization",
+                            lambda *args: calls.append(1) or solve(*args))
+        sol = ia_precoders(_generic_channels((2, 2, 2), 3, 53), DofAllocation((1, 1, 1)))
+        assert calls == [1]
+        assert sol.leakage <= 1e-9
+
+
+# every proper one-stream dimension triple with two receive antennas that
+# some M_j = 1 keeps out of the square construction
+CHAIN_DIMS = [d for d in itertools.product(range(1, 7), repeat=3)
+              if 1 in d and ia._proper((1, 1, 1), d, 2)]
+
+
+class TestLinearChain:
+    def test_chain_dims_are_the_expected_family(self):
+        # exactly one M_j = 1, the others at least 2 and summing to 5 or more
+        assert CHAIN_DIMS
+        for d in CHAIN_DIMS:
+            rest = sorted(d)[1:]
+            assert d.count(1) == 1 and rest[0] >= 2 and sum(rest) >= 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CHAIN_DIMS), st.integers(0, 2**32 - 1))
+    def test_aligns_exactly_on_random_channels(self, dims, seed):
+        ch = _generic_channels(dims, 2, seed)
+        sol = ia._linear_chain(ch, (1, 1, 1), 1e-9)
+        assert sol is not None
+        assert sol.leakage <= 1e-12 * _max_cross(ch)
+        for k in range(3):
+            effective_edge_channel(sol.decoders[k], ch[k][k], sol.precoders[k])
+            assert np.allclose(sol.precoders[k].conj().T @ sol.precoders[k], 1.0)
+        again = ia_precoders(ch, DofAllocation((1, 1, 1)))
+        assert again.leakage == sol.leakage
+
+    @pytest.mark.parametrize("dims", [(3, 2, 1), (1, 2, 3)])
+    def test_matches_the_iteration_where_the_solution_is_unique(self, dims):
+        ch = _generic_channels(dims, 2, 59)
+        exact = ia._linear_chain(ch, (1, 1, 1), 1e-9)
+        start = [ia._direct_basis(ch, i, 1) for i in range(3)]
+        iterated = ia._leakage_minimization(ch, (1, 1, 1), start, 1e-12, 20000)
+        for a, b in zip(exact.precoders + exact.decoders,
+                        iterated.precoders + iterated.decoders):
+            assert abs(np.vdot(a[:, 0], b[:, 0])) == pytest.approx(1.0, abs=1e-6)
+
+    def test_spare_dimensions_serve_the_own_user(self):
+        # on (1,3,3) BS 2 keeps two dimensions after its first row: the
+        # chain gives it the one with the largest direct gain
+        ch = _generic_channels((1, 3, 3), 2, 61)
+        sol = ia._linear_chain(ch, (1, 1, 1), 1e-9)
+        u = sol.decoders[1]
+        row = sol.decoders[2].conj().T @ ch[2][1]  # user 3 aligns BS 2 with BS 1
+        free = ia._null_basis([row / np.linalg.norm(row)], 3)
+        best = np.linalg.norm(u.conj().T @ ch[1][1] @ free)
+        assert abs((u.conj().T @ ch[1][1] @ sol.precoders[1]).item()) == pytest.approx(best)
+
+
+class TestAlignmentError:
+    @pytest.mark.parametrize("exc", [AlignmentError("improper", "streams (1, 1, 1)"),
+                                     AlignmentError("no convergence"),
+                                     InfeasibleAllocation("infeasible", "streams (2, 2, 2)")])
+    def test_rebuilds_from_type_and_args(self, exc):
+        again = type(exc)(*exc.args)
+        assert (type(again), again.reason, again.detail, str(again)) == \
+            (type(exc), exc.reason, exc.detail, str(exc))
+        assert exc.reason in AlignmentError.REASONS
+        assert all(isinstance(a, str) for a in exc.args)
+
+    def test_infeasible_is_a_value_error_too(self):
+        assert issubclass(InfeasibleAllocation, ValueError)
+        assert issubclass(InfeasibleAllocation, AlignmentError)
+        assert not issubclass(AlignmentError, ValueError)
+        with pytest.raises(InfeasibleAllocation) as info:
+            ia_precoders(_generic_channels((2, 2, 2), 2, 3), DofAllocation((2, 2, 2)))
+        assert info.value.reason == "infeasible"
+
+    def test_ranked_allocations_are_shared_tuples(self):
+        assert ranked_allocations(3, 3, 3, 2) is ranked_allocations(3.0, 3, 3, 2)
+        assert isinstance(ranked_allocations(3, 3, 3, 2), tuple)
 
 
 class TestDecoders:
