@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run every figure experiment on the bundled scenario and write the CSV
-tables under results/ (about 28 s on a 2-core x86_64 VM; fig7 takes about
-8-9 s of it, fig9 5-8 s and fig11 about 1 s)."""
+tables under results/ (18-21 s on a 2-core x86_64 VM, with or without the
+BLAS pinned to one thread; fig4, fig5 and fig7 take about 3-4.5 s each,
+fig10 2.5-4 s, fig9 about 1.5 s and fig11 about 1 s)."""
 
 import argparse
 import time

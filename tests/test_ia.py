@@ -69,6 +69,11 @@ def test_ranked_allocations_descending():
     assert cands[0].streams == dof_search(3, 3, 3, 2).streams
 
 
+def test_ranked_allocations_are_shared_tuples():
+    assert ranked_allocations(3, 3, 3, 2) is ranked_allocations(3.0, 3, 3, 2)
+    assert isinstance(ranked_allocations(3, 3, 3, 2), tuple)
+
+
 def _generic_channels(dims, nr, seed):
     rng = np.random.default_rng(seed)
     return [[(rng.standard_normal((nr, dims[i])) + 1j * rng.standard_normal((nr, dims[i])))
@@ -223,6 +228,11 @@ class TestLinearChain:
                         iterated.precoders + iterated.decoders):
             assert abs(np.vdot(a[:, 0], b[:, 0])) == pytest.approx(1.0, abs=1e-6)
 
+    def test_refuses_what_it_cannot_align(self):
+        # improper (1,1,4), reached here past the screen: both one-antenna
+        # BSs are fixed, so user 3 sees two unaligned interference vectors
+        assert ia._linear_chain(_generic_channels((1, 1, 4), 2, 67), (1, 1, 1), 1e-9) is None
+
     def test_spare_dimensions_serve_the_own_user(self):
         # on (1,3,3) BS 2 keeps two dimensions after its first row: the
         # chain gives it the one with the largest direct gain
@@ -253,10 +263,6 @@ class TestAlignmentError:
         with pytest.raises(InfeasibleAllocation) as info:
             ia_precoders(_generic_channels((2, 2, 2), 2, 3), DofAllocation((2, 2, 2)))
         assert info.value.reason == "infeasible"
-
-    def test_ranked_allocations_are_shared_tuples(self):
-        assert ranked_allocations(3, 3, 3, 2) is ranked_allocations(3.0, 3, 3, 2)
-        assert isinstance(ranked_allocations(3, 3, 3, 2), tuple)
 
 
 class TestDecoders:
