@@ -20,7 +20,6 @@ from scipy.linalg import toeplitz
 
 __all__ = [
     "EigenBasis",
-    "one_ring_coefficients",
     "correlation_matrix",
     "eigen_basis",
     "eigen_bases",
@@ -158,6 +157,14 @@ def _level_sum(freqs, edges, bound):
 
 
 def _one_ring_row(theta, delta, nt, spacing_ratio, tol):
+    """First row of the one-ring correlation matrix.
+
+    Entry k is the normalized integral of exp(-2*pi*1j*k*spacing*sin(a))
+    over the azimuth interval [theta - delta, theta + delta], evaluated by
+    15-point Gauss-Kronrod panels: the interval is halved uniformly until
+    every panel's error estimate (the worst lag) is within its share of
+    the tolerance.
+    """
     if delta <= 0:
         raise ValueError("degenerate spread")
     freqs = 2.0 * np.pi * spacing_ratio * np.arange(nt)
@@ -196,18 +203,6 @@ def _eigen_basis(r_matrix, eigen_threshold):
     v = v[:, ::-1]
     keep = w >= eigen_threshold * w[0]
     return EigenBasis(vectors=v[:, keep], values=w[keep])
-
-
-def one_ring_coefficients(theta, delta, nt, spacing_ratio, tol=1e-10):
-    """First row of the one-ring correlation matrix.
-
-    Entry k is the normalized integral of exp(-2*pi*1j*k*spacing*sin(a))
-    over the azimuth interval [theta - delta, theta + delta], evaluated by
-    15-point Gauss-Kronrod panels: the interval is halved uniformly until
-    every panel's error estimate (the worst lag) is within its share of
-    the tolerance.
-    """
-    return _one_ring_row(theta, delta, nt, spacing_ratio, tol)
 
 
 def correlation_matrix(theta, delta, nt, spacing_ratio, tol=1e-10):

@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "overhead_factor",
-    "ia_efficient",
     "divide_clusters",
 ]
 
@@ -45,13 +44,6 @@ def overhead_factor(kind, dims, k_users, nr, q_bits, f_rate, coherence_t,
         raise ValueError(f"unknown kind {kind!r}")
     alpha = 1.0 - t_train / coherence_t - feedback / (f_rate * coherence_t)
     return max(alpha, 0.0)
-
-
-def ia_efficient(allocation, dims) -> bool:
-    """Cooperative alignment pays off when it carries more streams than the
-    best single BS could."""
-    streams = allocation.streams if hasattr(allocation, "streams") else allocation
-    return int(sum(streams)) > int(max(dims))
 
 
 def divide_clusters(candidates, criterion="dof"):

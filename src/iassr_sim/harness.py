@@ -102,14 +102,13 @@ def build_geometry(config: ScenarioConfig, clusters) -> SystemGeometry:
 # service plans
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServicePlan:
     scheme: str
     assignment: dict                     # cid -> home BS, None for the edge area
     prebeams: dict                       # (cid, bs) -> Prebeamformer
-    edge_streams: dict                   # cid -> (S1, S2, S3)
+    edge_streams: dict                   # cid -> (S1, S2, S3), a proper allocation
     center_rows: dict                    # cid -> served row indices
-    exclude_all_dims: dict               # cid -> (M1, M2, M3) under full exclusion
 
     def edge_ids(self):
         return [cid for cid, a in self.assignment.items() if a is None]
@@ -159,6 +158,9 @@ def _exclude_all_dims(geometry: SystemGeometry):
 
 
 def build_plan(geometry: SystemGeometry, scheme: str, assignment=None) -> ServicePlan:
+    """The scheme's service plan: assignment, prebeams, and the streams of
+    each cluster. An edge cluster takes the best proper allocation on its
+    prebeam dimensions (``ia.realizable_allocation``), once per geometry."""
     cfg = geometry.config
     n = len(geometry.clusters)
     if assignment is None:
@@ -173,7 +175,6 @@ def build_plan(geometry: SystemGeometry, scheme: str, assignment=None) -> Servic
             raise ValueError(f"unknown scheme {scheme!r}")
     assignment = dict(assignment)
 
-    exclude_all = _exclude_all_dims(geometry)
     prebeams, edge_streams, center_rows = {}, {}, {}
     edge_idx = [geometry.idx(cid) for cid, a in assignment.items() if a is None]
 
@@ -188,7 +189,7 @@ def build_plan(geometry: SystemGeometry, scheme: str, assignment=None) -> Servic
                 prebeams[(cid, bs)] = prebeam.edge_prebeam(
                     cfg.nt, geometry.index_sets[(ci, bs)], others, bs=bs, cluster_id=cid)
             dims = tuple(prebeams[(cid, bs)].rank for bs in range(3))
-            edge_streams[cid] = ia.dof_search(*dims, cfg.nr).streams
+            edge_streams[cid] = ia.realizable_allocation(*dims, cfg.nr).streams
         else:
             if scheme == "de":
                 excl = [geometry.index_sets[(cj, home)] for cj in range(n) if cj != ci]
@@ -204,8 +205,7 @@ def build_plan(geometry: SystemGeometry, scheme: str, assignment=None) -> Servic
             s = min(prebeams[(cid, home)].rank, k_rows)
             center_rows[cid] = _served_rows(spec.num_users, cfg.nr, s)
     return ServicePlan(scheme=scheme, assignment=assignment, prebeams=prebeams,
-                       edge_streams=edge_streams, center_rows=center_rows,
-                       exclude_all_dims=exclude_all)
+                       edge_streams=edge_streams, center_rows=center_rows)
 
 
 def _center_rule_dim(geometry, ci, bs, assignment):
@@ -333,9 +333,9 @@ def _aligned(table, cid, eff, streams):
     An edge cluster's prebeams exclude every other cluster whatever the
     assignment, so within one channel realization its alignment depends only
     on ``(cid, streams)``; ``table`` maps that key to the solution or to the
-    failure's type and arguments. A failure is raised afresh on every read:
-    keeping the exception object would keep its traceback and the frames it
-    references.
+    failure's type and arguments. A failure (``ia.AlignmentError`` or
+    ``LinAlgError``) is raised afresh on every read: keeping the exception
+    object would keep its traceback and the frames it references.
     """
     key = (cid, tuple(streams))
     if key not in table:
@@ -347,32 +347,6 @@ def _aligned(table, cid, eff, streams):
     if isinstance(entry, tuple):
         raise entry[0](*entry[1])
     return entry
-
-
-def _solve_alignment(geometry, plan, cid, eff, streams, table):
-    """Solve one edge cluster's alignment; the all-edge comparison scheme
-    falls back to the best realizable allocation when the search optimum is
-    not constructible on this realization. The paper's feasibility count is
-    only an upper bound: ``ia.ia_precoders`` rejects an improper triple at
-    once, and a proper one can still fail on a given realization."""
-    try:
-        return _aligned(table, cid, eff, streams), streams
-    except (ia.AlignmentError, np.linalg.LinAlgError):
-        if plan.scheme != "pure_ia":
-            raise
-    dims = tuple(plan.prebeams[(cid, bs)].rank for bs in range(3))
-    for cand in ia.ranked_allocations(*dims, geometry.config.nr):
-        if cand.streams == tuple(streams):
-            continue
-        try:
-            sol = _aligned(table, cid, eff, cand.streams)
-        except (ia.AlignmentError, np.linalg.LinAlgError):
-            continue
-        # remember the realizable allocation so later trials skip the
-        # expensive failed attempt
-        plan.edge_streams[cid] = cand.streams
-        return sol, cand.streams
-    raise TrialError(f"no realizable alignment for {cid}")
 
 
 def _edge_link_eigs(sol, eff, streams):
@@ -392,14 +366,21 @@ def solve_links(geometry: SystemGeometry, plan: ServicePlan, channels,
     is power-independent: link eigenvalues for the edge side, the equalized
     gain plus interference spectrum for the center side. ``table`` is the
     alignment table (see ``_aligned``) shared by every solve on these
-    channels; without one the solve keeps its own.
+    channels; without one the solve keeps its own. The plan is only read,
+    so a solve depends on nothing but the plan and ``channels``.
+
+    Every edge cluster aligns at the plan's allocation; a failed alignment
+    raises ``TrialError`` and aborts the trial, whatever the scheme.
     """
     table = {} if table is None else table
     links = TrialLinks()
     for cid in plan.edge_ids():
         eff = _edge_channels(geometry, plan, channels, cid)
-        sol, streams = _solve_alignment(geometry, plan, cid, eff,
-                                        plan.edge_streams[cid], table)
+        streams = plan.edge_streams[cid]
+        try:
+            sol = _aligned(table, cid, eff, streams)
+        except (ia.AlignmentError, np.linalg.LinAlgError) as exc:
+            raise TrialError(f"alignment failed for {cid}: {exc}") from exc
         if sol.leakage > LEAKAGE_LIMIT:
             raise TrialError(f"alignment leakage {sol.leakage:.2e} for {cid}")
         links.leakage[cid] = sol.leakage
@@ -970,8 +951,8 @@ def _fig7(spec: ExperimentSpec, coherence_t=250):
                 key = frozenset(assignment.items())
                 if key not in solved:
                     try:
-                        plan, links = _plan_with_fallback(geometry, assignment, channels,
-                                                          table)
+                        plan = build_plan(geometry, "iassr", assignment)
+                        links = solve_links(geometry, plan, channels, table)
                     except (TrialError, RuntimeError, ValueError, np.linalg.LinAlgError):
                         solved[key] = None
                     else:
@@ -989,33 +970,6 @@ def _fig7(spec: ExperimentSpec, coherence_t=250):
             for snr in spec.snr_grid for crit in ("dof", "capacity")
             for met in ("rate", "effective_rate")]
     return [write_csv(Path(spec.out_dir) / "fig7.csv", rows)]
-
-
-def _plan_with_fallback(geometry, assignment, channels, table):
-    """Build a plan and solve its links, demoting edge clusters whose
-    alignment cannot be solved on this realization to their best center
-    slot. ``table`` is the realization's alignment table, so clusters the
-    failed solve already tried are not aligned again. Returns (plan, links)."""
-    assignment = dict(assignment)
-    for _ in range(4):
-        plan = build_plan(geometry, "iassr", assignment)
-        try:
-            return plan, solve_links(geometry, plan, channels, table)
-        except (TrialError, RuntimeError, ValueError, np.linalg.LinAlgError):
-            demoted = False
-            for cid in plan.edge_ids():
-                eff = _edge_channels(geometry, plan, channels, cid)
-                try:
-                    _aligned(table, cid, eff, plan.edge_streams[cid])
-                except (ia.AlignmentError, np.linalg.LinAlgError):
-                    dims = plan.exclude_all_dims[cid]
-                    assignment[cid] = int(np.argmax(dims))
-                    demoted = True
-                    break
-            if not demoted:
-                raise
-    plan = build_plan(geometry, "iassr", assignment)
-    return plan, solve_links(geometry, plan, channels, table)
 
 
 def _fig8(spec: ExperimentSpec, snrs=(0.0, 20.0, 40.0), n_grid=40):

@@ -3,11 +3,12 @@
 After prebeamforming, each edge cluster sees a 3x3 interference channel:
 BS i carries the data of user i, and the two cross links at every user must
 collapse into a subspace its decoder can null. Stream counts come from an
-exhaustive feasibility search. Before any solver runs, an allocation that is
-improper on its effective dimensions is rejected. Precoders come from the
-classical chained-eigenvector construction in the square symmetric case,
-from a linear chain of null-space constraints with two receive antennas, and
-from alternating leakage minimization otherwise.
+exhaustive feasibility search; ``realizable_allocation`` takes its best
+proper triple. Before any solver runs, an allocation that is improper on its
+effective dimensions is rejected. Precoders come from the classical
+chained-eigenvector construction in the square symmetric case, from a linear
+chain of null-space constraints with two receive antennas, and from
+alternating leakage minimization otherwise.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "DofAllocation",
     "IaSolution",
     "dof_search",
+    "realizable_allocation",
     "allocation_feasible",
     "ia_precoders",
     "ia_decoders",
@@ -73,7 +75,8 @@ def allocation_feasible(streams, dims, nr) -> bool:
 
     The count takes each cross pair once, so it is only an upper bound on
     what can be aligned: it admits triples that are improper, which
-    ``ia_precoders`` screens out before it solves (see ``_proper``)."""
+    ``realizable_allocation`` skips and ``ia_precoders`` screens out before
+    it solves (see ``_proper``)."""
     s = tuple(int(x) for x in streams)
     m = tuple(int(x) for x in dims)
     for i in range(3):
@@ -98,6 +101,14 @@ def dof_search(m1, m2, m3, nr) -> DofAllocation:
     lexicographically largest triple in that ranking wins.
     """
     return ranked_allocations(m1, m2, m3, nr)[0]
+
+
+def realizable_allocation(m1, m2, m3, nr) -> DofAllocation:
+    """The best allocation that alignment can realize: the first of
+    ``ranked_allocations`` that is proper (see ``_proper``). Never empty, as
+    (0, 0, 0) is always proper."""
+    dims, nr = (int(m1), int(m2), int(m3)), int(nr)
+    return next(a for a in _ranked(dims, nr) if _proper(a.streams, dims, nr))
 
 
 def ranked_allocations(m1, m2, m3, nr) -> tuple[DofAllocation, ...]:

@@ -31,7 +31,6 @@ __all__ = [
     "cluster_state",
     "default_scenario",
     "load_scenario",
-    "dump_scenario",
 ]
 
 
@@ -251,20 +250,6 @@ def load_scenario(path) -> tuple[ScenarioConfig, list[ClusterSpec]]:
     if not clusters:
         raise ValueError(f"{path}: no [cluster.*] sections")
     return config, clusters
-
-
-def dump_scenario(config: ScenarioConfig, clusters, path):
-    """Write a scenario in the same format load_scenario reads."""
-    parser = configparser.ConfigParser()
-    parser["scenario"] = {k: repr(getattr(config, k)) for k in _SCENARIO_KEYS}
-    for c in clusters:
-        parser[f"cluster.{c.id}"] = {
-            "position": f"{c.position[0]!r}, {c.position[1]!r}",
-            "ring_radius_m": repr(c.ring_radius_m),
-            "num_users": repr(c.num_users),
-        }
-    with open(path, "w") as fh:
-        parser.write(fh)
 
 
 def bundled_config_path():

@@ -14,7 +14,6 @@ import pytest
 from iassr_sim import harness as H
 from iassr_sim import channel as ch
 from iassr_sim import power
-from iassr_sim.division import ia_efficient
 from iassr_sim.ia import dof_search
 from iassr_sim.scenario import default_scenario
 
@@ -84,7 +83,9 @@ def test_criterion_2_search_table():
     for (m1, m2, m3, nr), total, efficient in rows:
         alloc = dof_search(m1, m2, m3, nr)
         ok &= alloc.total == total
-        ok &= ia_efficient(alloc, (m1, m2, m3)) is efficient
+        # alignment pays off when it carries more streams than the best
+        # single BS could
+        ok &= (alloc.total > max(m1, m2, m3)) is efficient
     elapsed = time.time() - start
     _report(2, ok and elapsed < 1.0, f"stream search table, {elapsed * 1e3:.0f} ms")
     assert ok

@@ -12,7 +12,7 @@ from scipy.linalg import toeplitz
 from iassr_sim import channel as ch, harness as H
 from iassr_sim.channel import (analytic_rank, correlation_matrix, dft_index_set,
                                eigen_bases, eigen_basis, exponential_user_correlation,
-                               one_ring_coefficients, sample_channel)
+                               sample_channel)
 from iassr_sim.prebeam import dft_columns
 from iassr_sim.scenario import ScenarioConfig, cluster_state, default_scenario
 
@@ -85,7 +85,7 @@ def test_toeplitz_and_psd(theta, delta):
 def test_quadrature_matches_reference():
     from scipy.integrate import quad
     theta, delta = 0.37, 0.081
-    row = one_ring_coefficients(theta, delta, 40, SP)
+    row = ch._one_ring_row(theta, delta, 40, SP, 1e-10)
     for k in (1, 7, 23, 39):
         re, _ = quad(lambda a: np.cos(-2 * np.pi * k * SP * np.sin(a)),
                      theta - delta, theta + delta, epsabs=1e-13, limit=300)
@@ -99,7 +99,7 @@ class TestQuadrature:
     @given(st.floats(-1.4, 1.4), st.floats(1e-4, 0.8), st.integers(1, 160),
            st.sampled_from([1e-10, 1e-12, 1e-7]))
     def test_screened_rows_match_the_per_panel_loop(self, theta, delta, nt, tol):
-        new = one_ring_coefficients(theta, delta, nt, SP, tol=tol)
+        new = ch._one_ring_row(theta, delta, nt, SP, tol)
         old = per_panel_row(theta, delta, nt, SP, tol=tol)
         assert new.tobytes() == old.tobytes()
 
@@ -118,14 +118,14 @@ class TestQuadrature:
     def test_wide_fast_ring_splits_past_twelve_levels(self, monkeypatch):
         # the fastest lag turns through about 5800 radians: 4096 panels
         panels = self.count_panels(monkeypatch)
-        new = one_ring_coefficients(0.2, 0.9, 256, 4.0)
+        new = ch._one_ring_row(0.2, 0.9, 256, 4.0, 1e-10)
         assert panels[-1] == 4096
         assert new.tobytes() == per_panel_row(0.2, 0.9, 256, 4.0).tobytes()
 
     def test_unreachable_tolerance_raises_at_the_level_cap(self, monkeypatch):
         panels = self.count_panels(monkeypatch)
         with pytest.raises(RuntimeError, match="did not reach tolerance"):
-            one_ring_coefficients(0.3, 0.2, NT, SP, tol=0.0)
+            ch._one_ring_row(0.3, 0.2, NT, SP, 0.0)
         assert panels == [2 ** k for k in range(12)]
 
 

@@ -74,6 +74,27 @@ def test_ranked_allocations_are_shared_tuples():
     assert isinstance(ranked_allocations(3, 3, 3, 2), tuple)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+       st.integers(1, 4))
+def test_realizable_allocation_is_the_best_proper_triple(dims, nr):
+    alloc = ia.realizable_allocation(*dims, nr)
+    assert allocation_feasible(alloc.streams, dims, nr)
+    assert ia._proper(alloc.streams, dims, nr)
+    proper = [s for s in itertools.product(*(range(min(d, nr) + 1) for d in dims))
+              if allocation_feasible(s, dims, nr) and ia._proper(s, dims, nr)]
+    assert alloc.total == max(sum(s) for s in proper)
+    best = dof_search(*dims, nr)
+    if ia._proper(best.streams, dims, nr):
+        assert alloc == best
+
+
+def test_realizable_allocation_skips_improper_triples():
+    assert dof_search(4, 1, 1, 2).streams == (1, 1, 1)
+    assert ia.realizable_allocation(4, 1, 1, 2).streams == (2, 0, 0)
+    assert ia.realizable_allocation(0, 0, 0, 2).streams == (0, 0, 0)
+
+
 def _generic_channels(dims, nr, seed):
     rng = np.random.default_rng(seed)
     return [[(rng.standard_normal((nr, dims[i])) + 1j * rng.standard_normal((nr, dims[i])))

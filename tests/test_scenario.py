@@ -1,10 +1,12 @@
+import configparser
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iassr_sim.scenario import (ClusterSpec, ScenarioConfig, aod_and_spread,
-                                bs_boresights, bs_positions, cluster_state,
-                                default_scenario, dump_scenario, load_scenario,
+from iassr_sim.scenario import (_SCENARIO_KEYS, ClusterSpec, ScenarioConfig,
+                                aod_and_spread, bs_boresights, bs_positions,
+                                cluster_state, default_scenario, load_scenario,
                                 path_loss)
 
 
@@ -117,6 +119,20 @@ class TestDefaultScenario:
                 assert st_.home_bs is None
             else:
                 assert st_.home_bs == int(c.id[1])
+
+
+def dump_scenario(config: ScenarioConfig, clusters, path):
+    """Write a scenario in the same format load_scenario reads."""
+    parser = configparser.ConfigParser()
+    parser["scenario"] = {k: repr(getattr(config, k)) for k in _SCENARIO_KEYS}
+    for c in clusters:
+        parser[f"cluster.{c.id}"] = {
+            "position": f"{c.position[0]!r}, {c.position[1]!r}",
+            "ring_radius_m": repr(c.ring_radius_m),
+            "num_users": repr(c.num_users),
+        }
+    with open(path, "w") as fh:
+        parser.write(fh)
 
 
 def test_config_round_trip(tmp_path):
