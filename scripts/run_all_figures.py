@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run every figure experiment on the bundled scenario and write the CSV
-tables under results/ (18-21 s on a 2-core x86_64 VM, with or without the
-BLAS pinned to one thread; fig4, fig5 and fig7 take about 3-4.5 s each,
-fig10 2.5-4 s, fig9 about 1.5 s and fig11 about 1 s)."""
+tables under results/ (13-15 s on a 2-core x86_64 VM; fig7 takes 2.4-2.7 s
+with the BLAS pinned to one thread and 3.8-3.9 s without, fig4, fig5, fig8
+and fig10 about 2 s each, fig9 about 1 s, fig6 and fig11 about 0.8 s)."""
 
 import argparse
 import time

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 __all__ = [
     "EigenBasis",
@@ -92,11 +91,19 @@ _TWO_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 
 def _openblas_thread_getter():
-    """numpy's bundled OpenBLAS thread-count query, or None without one."""
+    """numpy's bundled OpenBLAS thread-count query, or None without one.
+
+    The query's symbol carries the library name numpy's build records as a
+    prefix, and the suffix ``64_`` when that build uses 64-bit integers.
+    """
     try:
         from numpy._core import _multiarray_umath
-        getter = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
-    except (ImportError, OSError, AttributeError):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        symbol = blas["name"].replace("-", "_") + "_get_num_threads"
+        if "USE64BITINT" in blas.get("openblas configuration", ""):
+            symbol += "64_"
+        getter = getattr(ctypes.CDLL(_multiarray_umath.__file__), symbol)
+    except (ImportError, OSError, AttributeError, KeyError, TypeError):
         return None
     getter.restype = ctypes.c_int
     getter.argtypes = ()
@@ -190,7 +197,10 @@ def _one_ring_row(theta, delta, nt, spacing_ratio, tol):
 
 def _correlation_matrix(theta, delta, nt, spacing_ratio, tol):
     row = _one_ring_row(theta, delta, nt, spacing_ratio, tol)
-    r = toeplitz(row, row.conj())
+    # Hermitian Toeplitz: entry (i, j) is row[i - j] on and below the
+    # diagonal and conj(row[j - i]) above it
+    lag = np.subtract.outer(np.arange(nt), np.arange(nt))
+    r = np.where(lag >= 0, row[np.abs(lag)], row.conj()[np.abs(lag)])
     return 0.5 * (r + r.conj().T)
 
 

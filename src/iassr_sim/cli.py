@@ -3,8 +3,13 @@
     iassr-sim run --figure fig2 --config default.cfg --trials 100 \
         --seed 7 --out results/ [--snr-db 0,10,20] [--coherence-T 100,250]
 
-Exit status 0 on success, 2 on a specification problem (unknown figure,
-bad grids, unreadable config).
+Exit status:
+
+- 0 on success;
+- 1 on a numerical failure inside a trial (a ``LinAlgError``), printed as
+  ``error: numerical failure: ...``;
+- 2 on a specification problem (unknown figure, bad trial count or grids,
+  unreadable config).
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+
+from numpy.linalg import LinAlgError
 
 from .harness import FIGURES, ExperimentSpec, run
 from .scenario import bundled_config_path, load_scenario
@@ -62,6 +69,9 @@ def main(argv=None) -> int:
         return 2
     try:
         paths = run(spec)
+    except LinAlgError as exc:  # a ValueError, but no specification problem
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import toeplitz
 
 from iassr_sim import channel as ch, harness as H
@@ -80,6 +80,19 @@ def test_toeplitz_and_psd(theta, delta):
     assert np.max(np.abs(r[:-1, :-1] - r[1:, 1:])) < 1e-10
     w = np.linalg.eigvalsh(r)
     assert w.min() > -1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(-1.4, 1.4), st.floats(1e-3, 0.6), st.integers(1, 160))
+@example(0.3, 0.1, 1)
+@example(-0.7, 0.05, 2)
+@example(0.45, 0.2, 37)
+@example(0.9, 0.1, 128)
+def test_correlation_matrix_matches_scipy_toeplitz(theta, delta, nt):
+    row = ch._one_ring_row(theta, delta, nt, SP, 1e-10)
+    t = toeplitz(row, row.conj())
+    expect = 0.5 * (t + t.conj().T)
+    assert ch._correlation_matrix(theta, delta, nt, SP, 1e-10).tobytes() == expect.tobytes()
 
 
 def test_quadrature_matches_reference():

@@ -397,6 +397,23 @@ class TestCsvAndCli:
                        "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_cli_spec_error_exits_2(self, tmp_path, capsys):
+        rc = cli_main(["run", "--figure", "fig2", "--trials", "0",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == "error: trials must be at least 1"
+
+    def test_cli_numerical_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError is a ValueError; it must not read as a bad specification
+        def singular(spec):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setitem(H.FIGURES, "fig2", singular)
+        rc = cli_main(["run", "--figure", "fig2", "--trials", "1",
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == "error: numerical failure: Singular matrix"
+
     def test_cli_grid_overrides(self, tmp_path):
         rc = cli_main(["run", "--figure", "fig10", "--trials", "2",
                        "--seed", "4", "--out", str(tmp_path),
